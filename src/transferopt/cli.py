@@ -2,9 +2,10 @@
 
 Subcommands: weights | simulate | sweep | train | verify. Every run takes
 a JSON config (schema-validated, unknown keys rejected), an optional seed
-override, an output directory, a thread count, and a format choice. Runs
-are reproducible: the same config and seed give byte-identical report and
-CSV files at any thread count. Wall-clock timing goes to stderr only.
+override, an output directory, and a format choice. Runs are serial and
+reproducible: the same config and seed give byte-identical report and CSV
+files. ``--threads`` is accepted for compatibility and has no effect.
+Wall-clock timing goes to stderr only.
 
 Exit codes: 0 success, 2 config error (message names the field), 3
 numerical failure, 4 verification verdict failure.
@@ -28,11 +29,11 @@ from .errors import (
     SupportError,
     UnsupportedFamilyError,
 )
-from .families import get_family
 from .harness import (
     DEFAULT_WEIGHT_TRIALS,
     PlanView,
-    build_ensemble,
+    config_ensemble,
+    config_family,
     sweep_quantity,
     sweep_weight,
     verify_claim,
@@ -75,20 +76,14 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="output directory (default: $TRANSFEROPT_OUT or .)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: hardware parallelism); "
-                            "results do not depend on this")
+                       help="accepted for compatibility and ignored; "
+                            "runs are serial")
         p.add_argument("--format", choices=["json", "csv", "both"],
                        default="both")
         if name == "sweep":
             p.add_argument("--gnuplot", action="store_true",
                            help="also emit a gnuplot script for the curves")
     return parser
-
-
-def _ensemble_from(config, seed):
-    family = get_family(config["family"]["name"],
-                        config["family"].get("params", {}))
-    return family, build_ensemble(family, config, seed)
 
 
 def _plan_csv(plan_dict):
@@ -104,7 +99,7 @@ def _plan_csv(plan_dict):
     return ("plan.csv", ["source", "alpha", "weight", "quantity"], rows)
 
 
-def _cmd_weights(config, seed, threads):
+def _cmd_weights(config, seed):
     if "directions" in config:
         directions = np.asarray(config["directions"], dtype=float)
         fisher = np.asarray(config["fisher_matrix"], dtype=float)
@@ -124,7 +119,7 @@ def _cmd_weights(config, seed, threads):
         plan = optimal_plan(qp, n_target=int(config["n_target"]))
         results = {"mode": "explicit", "plan": plan.to_json_dict()}
     else:
-        family, ens = _ensemble_from(config, seed)
+        family, ens = config_ensemble(config, seed)
         plan = plan_from_parameters(family, ens.target_params,
                                     ens.source_params, ens.source_budgets,
                                     ens.target_budget)
@@ -138,8 +133,8 @@ def _cmd_weights(config, seed, threads):
     return results, [_plan_csv(results["plan"])], False, lines
 
 
-def _check_results(check, nested, seed, threads):
-    report = verify_claim(check, nested, seed, threads=threads)
+def _check_results(check, nested, seed):
+    report = verify_claim(check, nested, seed)
     rows = [{
         "check": check,
         "verdict": report["verdict"],
@@ -150,10 +145,10 @@ def _check_results(check, nested, seed, threads):
     return report, csvs, fail, [f"check {check}: {report['verdict']}"]
 
 
-def _cmd_simulate(config, seed, threads):
+def _cmd_simulate(config, seed):
     if "check" in config:
-        return _check_results(config["check"], config["config"], seed, threads)
-    family, ens = _ensemble_from(config, seed)
+        return _check_results(config["check"], config["config"], seed)
+    family, ens = config_ensemble(config, seed)
     spec = config.get("weights", "optimal")
     if spec == "optimal":
         plan = plan_from_parameters(family, ens.target_params,
@@ -167,8 +162,7 @@ def _cmd_simulate(config, seed, threads):
             raise ConfigError("need one weight per source", field="/weights")
         plan = PlanView(weights, ens.source_budgets)
         plan_dict = None
-    est = mc_expected_kl(family, ens, plan, int(config["trials"]), seed,
-                         threads=threads)
+    est = mc_expected_kl(family, ens, plan, int(config["trials"]), seed)
     results = {
         "ensemble": ens.to_json_dict(),
         "weights": [float(w) for w in weights],
@@ -189,19 +183,19 @@ def _cmd_simulate(config, seed, threads):
     return results, csvs, False, lines
 
 
-def _cmd_sweep(config, seed, threads):
-    family, ens = _ensemble_from(config, seed)
+def _cmd_sweep(config, seed):
+    family, ens = config_ensemble(config, seed)
     axis = config["axis"]
     idx = int(config.get("source_index", 0))
     trials = int(config.get("trials", DEFAULT_WEIGHT_TRIALS))
     pinned = config.get("pinned_weights")
     if axis == "weight":
         result = sweep_weight(ens, idx, config["grid"], trials, seed,
-                              threads=threads, pinned_weights=pinned)
+                              pinned_weights=pinned)
     else:
         result = sweep_quantity(ens, idx, config["grid"],
                                 config.get("rule", "optimal"), trials, seed,
-                                threads=threads, pinned_weights=pinned)
+                                pinned_weights=pinned)
     results = {"ensemble": ens.to_json_dict(), "sweep": result.to_json_dict()}
     name = f"sweep_{axis}.csv"
     csvs = [(name, ["axis_value", "mc_mean", "mc_stderr", "predicted"],
@@ -228,9 +222,8 @@ def _trace_csv(name, trace):
     return (name, list(rows[0].keys()), rows)
 
 
-def _cmd_train(config, seed, threads):
-    family = get_family(config["family"]["name"],
-                        config["family"].get("params", {}))
+def _cmd_train(config, seed):
+    family = config_family(config)
     train_block = dict(config["train"])
     cfg = TrainConfig(seed=seed, **train_block)
     holdout_n = int(config.get("holdout_n", 0))
@@ -281,8 +274,8 @@ def _cmd_train(config, seed, threads):
     return results, csvs, False, lines
 
 
-def _cmd_verify(config, seed, threads):
-    return _check_results(config["check"], config["config"], seed, threads)
+def _cmd_verify(config, seed):
+    return _check_results(config["check"], config["config"], seed)
 
 
 _HANDLERS = {
@@ -303,13 +296,12 @@ def _run(args):
         seed = args.seed
     else:
         seed = int(config.get("seed", 0))
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    if threads < 1:
+    if args.threads is not None and args.threads < 0:
         raise ConfigError("threads must be positive")
     out_dir = Path(args.out or os.environ.get("TRANSFEROPT_OUT") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results, csvs, fail, lines = _HANDLERS[args.command](config, seed, threads)
+    results, csvs, fail, lines = _HANDLERS[args.command](config, seed)
 
     written = []
     if args.format in ("json", "both"):

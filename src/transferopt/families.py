@@ -163,8 +163,8 @@ class Categorical:
         return np.diag(1.0 / th) + 1.0 / p_last
 
     def kl_divergence(self, theta_p, theta_q):
-        p = np.append(self.validate(theta_p, for_sampling=True),
-                      1.0 - np.sum(self.validate(theta_p, for_sampling=True)))
+        th = self.validate(theta_p, for_sampling=True)
+        p = np.append(th, 1.0 - np.sum(th))
         q = self.probs(self.validate(theta_q))
         mask = p > 0
         return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))

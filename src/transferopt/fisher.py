@@ -39,15 +39,6 @@ class FisherOperator:
     projections: np.ndarray = None
     directions: np.ndarray = None
 
-    def quadratic_form(self, a, b=None):
-        """a^T J b in parameter space (dense) or direction-coefficient
-        space (gram)."""
-        b = a if b is None else b
-        if self.mode == "dense":
-            return float(np.asarray(a) @ self.matrix @ np.asarray(b))
-        g = self.gram()
-        return float(np.asarray(a) @ g @ np.asarray(b))
-
     def gram(self, directions=None):
         """K x K quadratic form of J against direction columns."""
         if self.mode == "dense":

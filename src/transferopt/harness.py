@@ -27,6 +27,8 @@ __all__ = [
     "PlanView",
     "generate_ensemble",
     "build_ensemble",
+    "config_family",
+    "config_ensemble",
     "source_scalars",
     "sweep_weight",
     "sweep_quantity",
@@ -50,7 +52,6 @@ _MAX_DIRECTION_DRAWS = 100
 
 # minimal stand-in carrying just what mc_expected_kl reads off a plan
 PlanView = namedtuple("PlanView", ["weights", "quantities"])
-_PlanView = PlanView
 
 
 @dataclass
@@ -201,18 +202,11 @@ def generate_ensemble(family, target_params, n_target, source_specs,
     space; draws that land outside the valid region are retried a bounded
     number of times.
     """
-    th0 = family.validate(np.asarray(target_params, dtype=float))
-    n0 = int(n_target)
-    params, budgets, constants = [], [], []
-    for spec in source_specs:
-        c, n, dseed = spec
-        p = _draw_source_params(family, th0, float(c), n0, int(dseed),
-                                int(master_seed))
-        params.append(p)
-        budgets.append(int(n))
-        constants.append(np.sqrt(float(n0)) * float(np.linalg.norm(p - th0)))
-    return TaskEnsemble(family, th0, n0, params, np.asarray(budgets),
-                        np.asarray(constants))
+    sources = [{"c": c, "budget": n, "direction_seed": dseed}
+               for c, n, dseed in source_specs]
+    return build_ensemble(family, {"target_params": target_params,
+                                   "n_target": n_target,
+                                   "sources": sources}, master_seed)
 
 
 def build_ensemble(family, config, master_seed):
@@ -288,12 +282,13 @@ def _pinned(pinned_weights, k, idx):
     return w.copy()
 
 
-def sweep_weight(ensemble, source_index, grid, trials, seed, threads=1,
+def sweep_weight(ensemble, source_index, grid, trials, seed,
                  pinned_weights=None):
     """Measured and predicted divergence as one source's weight varies.
 
-    The grid point index enters the seed path, so curves are reproducible
-    point-by-point and invariant to the thread count.
+    Grid points run serially. The point index enters the seed path, so
+    each point's estimate is reproducible on its own, whatever else the
+    grid holds.
     """
     grid = resolve_grid(grid)
     if np.any(grid < 0):
@@ -311,8 +306,8 @@ def sweep_weight(ensemble, source_index, grid, trials, seed, threads=1,
         wv[idx] = w
         preds[i] = _predict_under(ensemble.target_budget, wv, budgets, gram, d).total
         est = mc_expected_kl(ensemble.family, ensemble,
-                             _PlanView(wv, ensemble.source_budgets),
-                             trials, seed, threads=threads, seed_prefix=(i,))
+                             PlanView(wv, ensemble.source_budgets),
+                             trials, seed, seed_prefix=(i,))
         means[i] = est.mean
         stderrs[i] = est.std_error
     return SweepResult("weight", grid, means, stderrs, preds,
@@ -320,7 +315,7 @@ def sweep_weight(ensemble, source_index, grid, trials, seed, threads=1,
 
 
 def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
-                   threads=1, pinned_weights=None):
+                   pinned_weights=None):
     """Measured and predicted divergence as one source's quantity varies.
 
     ``weight_rule`` is either the string ``"optimal"``, re-optimizing the
@@ -355,8 +350,8 @@ def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
         qv[idx] = float(n)
         preds[i] = _predict_under(ensemble.target_budget, wv, qv, gram, d).total
         est = mc_expected_kl(ensemble.family, ensemble,
-                             _PlanView(wv, qv.astype(int)),
-                             trials, seed, threads=threads, seed_prefix=(i,))
+                             PlanView(wv, qv.astype(int)),
+                             trials, seed, seed_prefix=(i,))
         means[i] = est.mean
         stderrs[i] = est.std_error
     return SweepResult("quantity", grid, means, stderrs, preds,
@@ -439,18 +434,24 @@ def _get(config, key, default=None):
     raise ConfigError(f"missing config field '{key}'", field=f"/{key}")
 
 
-def _config_ensemble(config, seed):
-    family = get_family(_get(config, "family")["name"],
-                        _get(config, "family").get("params", {}))
+def config_family(config):
+    """Model family named by a config's ``family`` block."""
+    spec = _get(config, "family")
+    return get_family(spec["name"], spec.get("params", {}))
+
+
+def config_ensemble(config, seed):
+    """Family and ensemble described by a config block."""
+    family = config_family(config)
     return family, build_ensemble(family, config, seed)
 
 
-def _check_weight_optimum(config, seed, threads):
-    family, ens = _config_ensemble(config, seed)
+def _check_weight_optimum(config, seed):
+    family, ens = config_ensemble(config, seed)
     idx = int(config.get("source_index", 0))
     trials = int(config.get("trials", DEFAULT_WEIGHT_TRIALS))
     grid_spec = _get(config, "grid")
-    result = sweep_weight(ens, idx, grid_spec, trials, seed, threads=threads)
+    result = sweep_weight(ens, idx, grid_spec, trials, seed)
     t_i = float(source_scalars(ens)[idx])
     w_star = single_source_weight(t_i, int(ens.source_budgets[idx]))
     star_idx = int(np.argmin(np.abs(result.grid - w_star)))
@@ -481,14 +482,13 @@ def _check_weight_optimum(config, seed, threads):
     }
 
 
-def _check_quantity_monotone(config, seed, threads):
-    family, ens = _config_ensemble(config, seed)
+def _check_quantity_monotone(config, seed):
+    family, ens = config_ensemble(config, seed)
     idx = int(config.get("source_index", 0))
     trials = int(config.get("trials", DEFAULT_WEIGHT_TRIALS))
     grid_spec = _get(config, "grid")
     rule = config.get("rule", "optimal")
-    result = sweep_quantity(ens, idx, grid_spec, rule, trials, seed,
-                            threads=threads)
+    result = sweep_quantity(ens, idx, grid_spec, rule, trials, seed)
     diffs = np.diff(result.predicted)
     pred_ok = bool(np.all(diffs < -1e-12))
     mc_ok = True
@@ -514,7 +514,7 @@ def _check_quantity_monotone(config, seed, threads):
     }
 
 
-def _check_dimension_scaling(config, seed, threads):
+def _check_dimension_scaling(config, seed):
     dims = [int(v) for v in _get(config, "dims")]
     t = float(_get(config, "t"))
     n0 = int(_get(config, "n_target"))
@@ -532,9 +532,9 @@ def _check_dimension_scaling(config, seed, threads):
         ens = TaskEnsemble(family, th0, n0, [th1], np.array([n1]),
                            np.array([np.sqrt(float(n0)) * np.linalg.norm(th1)]))
         totals.append(predict_kl_single(n0, n1, w_star, t, d).total)
-        est = mc_expected_kl(family, ens, _PlanView(np.array([w_star]),
-                                                    np.array([n1])),
-                             trials, seed, threads=threads, seed_prefix=(d,))
+        est = mc_expected_kl(family, ens, PlanView(np.array([w_star]),
+                                                   np.array([n1])),
+                             trials, seed, seed_prefix=(d,))
         means.append(est.mean)
         stderrs.append(est.std_error)
         constants.append(float(ens.regime_constants[0]))
@@ -566,8 +566,8 @@ def _check_dimension_scaling(config, seed, threads):
     }
 
 
-def _check_plan_beats_random(config, seed, threads):
-    family, ens = _config_ensemble(config, seed)
+def _check_plan_beats_random(config, seed):
+    family, ens = config_ensemble(config, seed)
     trials = int(config.get("trials", 5000))
     n_random = int(config.get("random_plans", 10000))
     mc_top = int(config.get("mc_top", 10))
@@ -579,7 +579,7 @@ def _check_plan_beats_random(config, seed, threads):
     qp = build_qp_matrix(None, gram, budgets, d)
     plan = optimal_plan(qp, n_target=ens.target_budget)
     plan_est = mc_expected_kl(family, ens, plan, trials, seed,
-                              threads=threads, seed_prefix=(_PLAN_STREAM,))
+                              seed_prefix=(_PLAN_STREAM,))
 
     rng = derive_rng(seed, _RANDOM_DRAW_STREAM)
     weight_draws = rng.uniform(0.0, weight_high, size=(n_random, ens.k))
@@ -592,9 +592,9 @@ def _check_plan_beats_random(config, seed, threads):
     order = np.argsort(predictions)[:mc_top]
     top_means, top_ses = [], []
     for rank, j in enumerate(order):
-        est = mc_expected_kl(family, ens, _PlanView(weight_draws[j],
-                                                    ens.source_budgets),
-                             mc_trials, seed, threads=threads,
+        est = mc_expected_kl(family, ens, PlanView(weight_draws[j],
+                                                   ens.source_budgets),
+                             mc_trials, seed,
                              seed_prefix=(_RANDOM_MC_STREAM, rank))
         top_means.append(est.mean)
         top_ses.append(est.std_error)
@@ -626,8 +626,8 @@ def _check_plan_beats_random(config, seed, threads):
     }
 
 
-def _check_estimator_mean(config, seed, threads):
-    family, ens = _config_ensemble(config, seed)
+def _check_estimator_mean(config, seed):
+    family, ens = config_ensemble(config, seed)
     weights = np.asarray(_get(config, "weights"), dtype=float)
     if weights.shape != (ens.k,) or np.any(weights < 0):
         raise ConfigError("weights must be K nonnegative values",
@@ -670,11 +670,10 @@ def _check_estimator_mean(config, seed, threads):
     }
 
 
-def _check_kl_mse_bridge(config, seed, threads):
+def _check_kl_mse_bridge(config, seed):
     from .kl import mse_kl_bridge
 
-    family = get_family(_get(config, "family")["name"],
-                        _get(config, "family").get("params", {}))
+    family = config_family(config)
     th0 = family.validate(np.asarray(_get(config, "target_params"),
                                      dtype=float))
     n0 = int(_get(config, "n_target"))
@@ -711,7 +710,7 @@ _CHECKS = {
 }
 
 
-def verify_claim(check, config, seed, threads=1):
+def verify_claim(check, config, seed):
     """Run one named oracle comparison and return a structured verdict.
 
     Checks: weight-optimum (measured weight curve bottoms out at the
@@ -726,7 +725,7 @@ def verify_claim(check, config, seed, threads=1):
         known = ", ".join(sorted(_CHECKS))
         raise ConfigError(f"unknown check '{check}' (known: {known})",
                           field="/check")
-    report = _CHECKS[check](dict(config), int(seed), max(1, int(threads)))
+    report = _CHECKS[check](dict(config), int(seed))
     report["check"] = check
     report["seed"] = int(seed)
     return report

@@ -4,13 +4,12 @@
 2. ``predict_kl_single`` / ``predict_kl_multi``: the asymptotic predictions,
    split into their sampling-variance and domain-shift terms.
 3. ``mc_expected_kl``: seeded Monte Carlo over repeated estimation trials,
-   the oracle everything else is checked against.
+   the oracle everything else is checked against. Trials run serially.
 
 ``mse_kl_bridge`` relates the measure to a Fisher-weighted mean squared
 error, the quadratic approximation that underlies the predictions.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,15 +125,18 @@ def _trial_kl(family, ensemble, weights, quantities, seed_path):
     return kl_exact(family, ensemble.target_params, est)
 
 
-def mc_expected_kl(family, ensemble, plan, trials, master_seed, threads=1,
+def mc_expected_kl(family, ensemble, plan, trials, master_seed,
                    seed_prefix=()):
     """Monte Carlo estimate of the expected divergence under a plan.
 
     Each trial draws a fresh target dataset and fresh source datasets of
     the plan's quantities, fits the weighted MLE with the plan's weights,
     and measures the divergence from the true target distribution. Trials
-    derive their streams from (master_seed, *seed_prefix, trial), so the
-    result is identical at any thread count.
+    run one after another, each on its own stream derived from
+    (master_seed, *seed_prefix, trial).
+
+    A failing trial re-raises its own exception, with the trial index in
+    a ``trial`` attribute and a ``trial i:`` prefix on the message.
     """
     trials = int(trials)
     if trials < 2:
@@ -142,26 +144,16 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed, threads=1,
     weights = np.asarray(plan.weights, dtype=float)
     quantities = np.asarray(plan.quantities)
     values = np.empty(trials)
-
-    def run_block(lo, hi):
-        for i in range(lo, hi):
-            try:
-                values[i] = _trial_kl(
-                    family, ensemble, weights, quantities,
-                    (int(master_seed), *seed_prefix, i),
-                )
-            except Exception as err:  # keep the type, attach the trial
-                raise type(err)(f"trial {i}: {err}") from err
-
-    threads = max(1, int(threads))
-    if threads == 1:
-        run_block(0, trials)
-    else:
-        chunk = -(-trials // threads)
-        spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda s: run_block(*s), spans))
-
+    for i in range(trials):
+        try:
+            values[i] = _trial_kl(family, ensemble, weights, quantities,
+                                  (int(master_seed), *seed_prefix, i))
+        except Exception as err:
+            # tag the same object: rebuilding it would drop its attributes
+            # and fails for constructors that take other arguments
+            err.trial = i
+            err.args = (f"trial {i}: {err}",)
+            raise
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(trials))
     return MonteCarloEstimate(mean, std_error, trials, int(master_seed))

