@@ -385,11 +385,14 @@ class SoftmaxRegression:
         Z = np.asarray(Z, dtype=float)
         q = self._class_probs(theta, Z)
         c, p = self.num_classes, self.feature_dim
-        h = np.zeros((self.dim, self.dim))
-        # sum over samples of -(diag(q) - q q^T) kron (z z^T)
-        for i in range(len(Z)):
-            a = np.diag(q[i]) - np.outer(q[i], q[i])
-            h -= np.kron(a, np.outer(Z[i], Z[i]))
+        # sum over samples of -(diag(q) - q q^T) kron (z z^T), in two terms:
+        # (q q^T) kron (z z^T) = w w^T with w = q kron z, summed by one GEMM,
+        # minus the block diagonal sum_i q_ia z_i z_i^T for each class a
+        w = (q[:, :, None] * Z[:, None, :]).reshape(len(Z), self.dim)
+        h = w.T @ w
+        zz = Z[:, :, None] * Z[:, None, :]
+        blocks = np.einsum("ia,ijk->ajk", q, zz)
+        h.reshape(c, p, c, p)[np.arange(c), :, np.arange(c), :] -= blocks
         return h
 
 

@@ -51,14 +51,18 @@ class MonteCarloEstimate:
     master_seed: int
 
 
-def kl_exact(family, theta_p, theta_q):
-    """Divergence from the distribution at ``theta_p`` to ``theta_q``."""
+def _divergence(family):
     fn = getattr(family, "kl_divergence", None)
     if fn is None:
         raise UnsupportedFamilyError(
             f"no closed-form divergence for family '{family.name}'"
         )
-    return fn(theta_p, theta_q)
+    return fn
+
+
+def kl_exact(family, theta_p, theta_q):
+    """Divergence from the distribution at ``theta_p`` to ``theta_q``."""
+    return _divergence(family)(theta_p, theta_q)
 
 
 def predict_kl_single(n_target, n_source, weight, t, d):
@@ -135,12 +139,15 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed,
     run one after another, each on its own stream derived from
     (master_seed, *seed_prefix, trial).
 
-    A failing trial re-raises its own exception, with the trial index in
-    a ``trial`` attribute and a ``trial i:`` prefix on the message.
+    A family without a closed-form divergence is rejected before any
+    trial runs. A failing trial re-raises its own exception, with the
+    trial index in a ``trial`` attribute and a ``trial i:`` prefix on the
+    message.
     """
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
+    _divergence(family)
     weights = np.asarray(plan.weights, dtype=float)
     quantities = np.asarray(plan.quantities)
     values = np.empty(trials)

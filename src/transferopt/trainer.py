@@ -151,13 +151,14 @@ def holdout_metrics(family, theta, holdout_data):
     """
     if holdout_data is None:
         return float("nan"), float("nan")
-    nll = -float(family.log_density_batch(theta, holdout_data).mean())
-    if hasattr(family, "class_probs"):
-        zs, ys = holdout_data
-        picks = np.argmax(family.class_probs(theta, zs), axis=1)
-        acc = float(np.mean(picks == np.asarray(ys)))
-    else:
-        acc = float("nan")
+    if not hasattr(family, "class_probs"):
+        nll = -float(family.log_density_batch(theta, holdout_data).mean())
+        return nll, float("nan")
+    zs, ys = holdout_data
+    ys = np.asarray(ys, dtype=int)
+    q = family.class_probs(theta, zs)
+    nll = -float(np.log(q[np.arange(len(ys)), ys]).mean())
+    acc = float(np.mean(np.argmax(q, axis=1) == ys))
     return nll, acc
 
 
@@ -184,6 +185,10 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
     with a plan recomputation from the current displacements and an
     empirical information gram over the target data. With no sources this
     is plain regularized gradient descent, which doubles as the baseline.
+
+    A failing re-plan re-raises its own exception, with the epoch in an
+    ``epoch`` attribute and a ``plan update failed at epoch N:`` prefix on
+    the message.
     """
     k = len(source_data)
     if len(source_params) != k:
@@ -218,8 +223,11 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
                 weights = _replan(family, theta, target_data, source_params,
                                   budgets, n0, d)
             except TransferOptError as err:
-                raise type(err)(
-                    f"plan update failed at epoch {epoch}: {err}") from err
+                # tag the same object: rebuilding it would drop attributes
+                # such as ConvergenceError.residual and ConfigError.field
+                err.epoch = epoch
+                err.args = (f"plan update failed at epoch {epoch}: {err}",)
+                raise
     trace.final_theta = theta
     return trace
 
@@ -230,7 +238,9 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
     Tasks update sequentially within an outer epoch, each seeing the most
     recent parameters of the others. Each task owns a weight vector over
     all tasks (its own entry pinned at zero) and re-plans at the end of
-    its turn every period. Returns one trace per task.
+    its turn every period. Returns one trace per task. A failing re-plan
+    is re-raised as in ``train_multi_source``, with ``for task T`` in the
+    message prefix.
     """
     k = len(datasets)
     if k < 2:
@@ -274,9 +284,10 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
                         np.array([counts[j] for j in others], dtype=float),
                         counts[task], d)
                 except TransferOptError as err:
-                    raise type(err)(
-                        f"plan update failed for task {task} at epoch "
-                        f"{epoch}: {err}") from err
+                    err.epoch = epoch
+                    err.args = (f"plan update failed for task {task} at "
+                                f"epoch {epoch}: {err}",)
+                    raise
                 row = np.zeros(k)
                 row[others] = planned
                 weight_rows[task] = row

@@ -73,6 +73,21 @@ def fd_gradient(f, x, h=1e-5):
     return g
 
 
+def softmax_hessian_oracle(feature_dim, num_classes, theta, zs):
+    """Summed log-likelihood hessian of softmax regression, one sample at a
+    time: the sum over samples of -(diag(q) - q q^T) kron (z z^T)."""
+    wmat = np.asarray(theta, dtype=float).reshape(num_classes, feature_dim)
+    d = num_classes * feature_dim
+    h = np.zeros((d, d))
+    for z in np.asarray(zs, dtype=float).reshape(-1, feature_dim):
+        logits = wmat @ z
+        q = np.exp(logits - logits.max())
+        q /= q.sum()
+        a = np.diag(q) - np.outer(q, q)
+        h -= np.kron(a, np.outer(z, z))
+    return h
+
+
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)

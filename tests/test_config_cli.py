@@ -14,6 +14,7 @@ import pytest
 from transferopt.cli import main
 from transferopt.config import COMMANDS, load_schema, validate_config
 from transferopt.errors import ConfigError
+from transferopt.families import SoftmaxRegression
 
 from helpers import CONFIGS, GOLDEN, load_json, predicted_single_oracle
 
@@ -199,6 +200,30 @@ def test_check_dispatch_through_simulate(tmp_path, capsys):
     report = load_json(tmp_path / "report.json")
     assert report["results"]["check"] == "weight-optimum"
     assert report["results"]["verdict"] == "pass"
+
+
+def test_simulate_rejects_family_without_divergence_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    cfg = {
+        "family": {"name": "softmax_regression",
+                   "params": {"feature_dim": 2, "num_classes": 2}},
+        "target_params": [0.3, 0.4, -0.2, 0.1],
+        "n_target": 50,
+        "sources": [{"params": [0.2, 0.5, -0.1, 0.0], "budget": 40}],
+        "weights": [0.5],
+        "trials": 10,
+        "seed": 7,
+    }
+    sampled = []
+    monkeypatch.setattr(SoftmaxRegression, "sample",
+                        lambda *args: sampled.append(args))
+    rc, _, err = run(["simulate", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert err.startswith("config error: no closed-form divergence for "
+                          "family 'softmax_regression'")
+    assert "trial" not in err
+    assert sampled == []
 
 
 # --------------------------------------------------------- weights command

@@ -8,7 +8,7 @@ import pytest
 from transferopt import ParameterError, SupportError, get_family
 from transferopt.rng import derive_rng
 
-from helpers import fd_gradient
+from helpers import fd_gradient, softmax_hessian_oracle
 
 
 def test_binary_log_density_is_log_half(cat2):
@@ -209,3 +209,21 @@ def test_loglik_hessian_matches_score_differences(cat3, softmax23, rng):
         for j in range(softmax23.dim)
     ])
     assert np.max(np.abs(hs - fds)) <= 1e-5 * max(1.0, np.max(np.abs(fds)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 25, 2000])
+@pytest.mark.parametrize("feature_dim,num_classes", [(1, 2), (2, 3), (3, 3),
+                                                     (4, 5)])
+def test_softmax_hessian_matches_per_sample_kron_loop(feature_dim, num_classes,
+                                                      n):
+    fam = get_family("softmax_regression",
+                     {"feature_dim": feature_dim, "num_classes": num_classes})
+    rng = np.random.default_rng(10 * feature_dim + num_classes)
+    theta = 0.7 * rng.standard_normal(fam.dim)
+    data = fam.sample(theta, n, 31 + n)
+    got = fam.loglik_hessian(theta, data)
+    want = softmax_hessian_oracle(feature_dim, num_classes, theta, data[0])
+    assert got.shape == (fam.dim, fam.dim)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want),
+                                                         initial=0.0)
+    assert np.array_equal(got, got.T)

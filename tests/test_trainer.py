@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from transferopt import (
+    ConfigError,
+    ConvergenceError,
     ParameterError,
     RegimeError,
     TrainConfig,
@@ -246,6 +248,48 @@ def test_multi_task_plan_failure_names_task_and_epoch(monkeypatch):
     monkeypatch.setattr(trainer_mod, "projected_gram", boom)
     with pytest.raises(RegimeError, match="task 0 at epoch 1"):
         train_multi_task(FAM, [d0, d1], cfg)
+
+
+@pytest.mark.parametrize("make_error", [
+    lambda: ConvergenceError("qp stalled", last_iterate=np.array([0.1, 0.2]),
+                             residual=0.5),
+    lambda: ConfigError("bad budgets", field="/sources/0/budget"),
+], ids=["convergence-error", "config-error"])
+def test_replan_failure_reraises_the_same_exception(monkeypatch, make_error):
+    target = FAM.sample(TH_TRUE, 40, derive_rng(18, 0))
+    other = FAM.sample(TH_OFF, 40, derive_rng(18, 1))
+    cfg = TrainConfig(learning_rate=1.0, epochs=5, ridge=1e-6)
+    # the third re-plan is epoch 3 of one target, or task 0 in epoch 2 of two
+    runs = [
+        (lambda: train_multi_source(FAM, target, [other], [TH_OFF], cfg),
+         3, "plan update failed at epoch 3: "),
+        (lambda: train_multi_task(FAM, [target, other], cfg),
+         2, "plan update failed for task 0 at epoch 2: "),
+    ]
+    for train, epoch, prefix in runs:
+        error = make_error()
+        message = str(error)
+        calls = []
+
+        def replan_fails_on_third_call(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return np.array([0.5])
+
+        monkeypatch.setattr("transferopt.trainer._replan",
+                            replan_fails_on_third_call)
+        with pytest.raises(type(error)) as info:
+            train()
+        err = info.value
+        assert err is error
+        assert err.epoch == epoch
+        assert str(err) == prefix + message
+        if isinstance(err, ConvergenceError):
+            assert err.last_iterate.tolist() == [0.1, 0.2]
+            assert err.residual == 0.5
+        else:
+            assert err.field == "/sources/0/budget"
 
 
 def test_pretrain_matches_direct_fit():
