@@ -385,9 +385,10 @@ class SoftmaxRegression:
         Z = np.asarray(Z, dtype=float)
         q = self._class_probs(theta, Z)
         c, p = self.num_classes, self.feature_dim
-        # sum over samples of -(diag(q) - q q^T) kron (z z^T), in two terms:
-        # (q q^T) kron (z z^T) = w w^T with w = q kron z, summed by one GEMM,
-        # minus the block diagonal sum_i q_ia z_i z_i^T for each class a
+        # sum over samples of -(diag(q) - q q^T) (x) (z z^T), with (x) the
+        # Kronecker product, in two terms: (q q^T) (x) (z z^T) = w w^T with
+        # w = q (x) z, summed by one GEMM, minus the block diagonal
+        # sum_i q_ia z_i z_i^T for each class a
         w = (q[:, :, None] * Z[:, None, :]).reshape(len(Z), self.dim)
         h = w.T @ w
         zz = Z[:, :, None] * Z[:, None, :]
