@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import COMMANDS, load_config, validate_config
+from .config import COMMANDS, DEFAULTS, load_config, validate_config
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .harness import (
-    DEFAULT_WEIGHT_TRIALS,
     PlanView,
     config_ensemble,
     config_family,
@@ -101,12 +100,13 @@ def _plan_csv(plan_dict):
 
 def _cmd_weights(config, seed):
     if "directions" in config:
+        for key in ("directions", "fisher_matrix"):
+            if len({len(row) for row in config[key]}) != 1:
+                raise ConfigError(f"{key} rows must have equal length",
+                                  field=f"/{key}")
         directions = np.asarray(config["directions"], dtype=float)
         fisher = np.asarray(config["fisher_matrix"], dtype=float)
         budgets = np.asarray(config["budgets"], dtype=float)
-        if directions.ndim != 2:
-            raise ConfigError("directions must be vectors of equal length",
-                              field="/directions")
         d = directions.shape[1]
         if fisher.shape != (d, d):
             raise ConfigError(f"fisher_matrix must be {d}x{d}",
@@ -133,8 +133,9 @@ def _cmd_weights(config, seed):
     return results, [_plan_csv(results["plan"])], False, lines
 
 
-def _check_results(check, nested, seed):
-    report = verify_claim(check, nested, seed)
+def _cmd_verify(config, seed):
+    check = config["check"]
+    report = verify_claim(check, config["config"], seed)
     rows = [{
         "check": check,
         "verdict": report["verdict"],
@@ -147,9 +148,9 @@ def _check_results(check, nested, seed):
 
 def _cmd_simulate(config, seed):
     if "check" in config:
-        return _check_results(config["check"], config["config"], seed)
+        return _cmd_verify(config, seed)
     family, ens = config_ensemble(config, seed)
-    spec = config.get("weights", "optimal")
+    spec = config["weights"]
     if spec == "optimal":
         plan = plan_from_parameters(family, ens.target_params,
                                     ens.source_params, ens.source_budgets,
@@ -186,15 +187,15 @@ def _cmd_simulate(config, seed):
 def _cmd_sweep(config, seed):
     family, ens = config_ensemble(config, seed)
     axis = config["axis"]
-    idx = int(config.get("source_index", 0))
-    trials = int(config.get("trials", DEFAULT_WEIGHT_TRIALS))
-    pinned = config.get("pinned_weights")
+    idx = int(config["source_index"])
+    trials = int(config["trials"])
+    pinned = config["pinned_weights"]
     if axis == "weight":
         result = sweep_weight(ens, idx, config["grid"], trials, seed,
                               pinned_weights=pinned)
     else:
         result = sweep_quantity(ens, idx, config["grid"],
-                                config.get("rule", "optimal"), trials, seed,
+                                config["rule"], trials, seed,
                                 pinned_weights=pinned)
     results = {"ensemble": ens.to_json_dict(), "sweep": result.to_json_dict()}
     name = f"sweep_{axis}.csv"
@@ -224,9 +225,8 @@ def _trace_csv(name, trace):
 
 def _cmd_train(config, seed):
     family = config_family(config)
-    train_block = dict(config["train"])
-    cfg = TrainConfig(seed=seed, **train_block)
-    holdout_n = int(config.get("holdout_n", 0))
+    cfg = TrainConfig(seed=seed, **config["train"])
+    holdout_n = int(config["holdout_n"])
     if config["mode"] == "multi_source":
         tgt = config["target"]
         tp = family.validate(np.asarray(tgt["params"], dtype=float))
@@ -239,7 +239,7 @@ def _cmd_train(config, seed):
             data = family.sample(sp, int(src["n"]), derive_rng(seed, k + 1))
             source_data.append(data)
             pretrained.append(pretrain_params(
-                family, data, ridge=float(config.get("pretrain_ridge", 0.0))))
+                family, data, ridge=float(config["pretrain_ridge"])))
         holdout = None
         if holdout_n:
             holdout = family.sample(tp, holdout_n,
@@ -274,10 +274,6 @@ def _cmd_train(config, seed):
     return results, csvs, False, lines
 
 
-def _cmd_verify(config, seed):
-    return _check_results(config["check"], config["config"], seed)
-
-
 _HANDLERS = {
     "weights": _cmd_weights,
     "simulate": _cmd_simulate,
@@ -290,18 +286,19 @@ _HANDLERS = {
 def _run(args):
     config = load_config(args.config)
     validate_config(args.command, config)
+    settings = {**DEFAULTS[args.command], **config}
     if args.seed is not None:
         if not 0 <= args.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         seed = args.seed
     else:
-        seed = int(config.get("seed", 0))
+        seed = int(settings["seed"])
     if args.threads is not None and args.threads < 0:
         raise ConfigError("threads must be positive")
     out_dir = Path(args.out or os.environ.get("TRANSFEROPT_OUT") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results, csvs, fail, lines = _HANDLERS[args.command](config, seed)
+    results, csvs, fail, lines = _HANDLERS[args.command](settings, seed)
 
     written = []
     if args.format in ("json", "both"):

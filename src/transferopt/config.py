@@ -1,11 +1,12 @@
 """Config loading and schema validation for the command line front end.
 
-Every command has a JSON schema shipped inside the package; configs are
-validated before any computation runs, and unknown keys are rejected.
-Violations surface as ConfigError with a slash-separated field path so the
-CLI can point at the offending entry.
+One schema file defines every command's config and every named check's
+nested config. Configs are validated before any computation runs, and
+unknown keys are rejected. Violations surface as ConfigError with a
+slash-separated field path so the CLI can point at the offending entry.
 """
 
+import functools
 import json
 from importlib import resources
 
@@ -16,16 +17,37 @@ from .errors import ConfigError
 
 COMMANDS = ("weights", "simulate", "sweep", "train", "verify")
 
-_schema_cache = {}
+# What a config may leave out, per command and per named check; merged into
+# a copy of the validated config, so a report echoes the config as written.
+DEFAULTS = {
+    "weights": {"seed": 0},
+    "simulate": {"seed": 0, "weights": "optimal"},
+    "sweep": {"seed": 0, "source_index": 0, "trials": 4000, "rule": "optimal",
+              "pinned_weights": None},
+    "train": {"seed": 0, "holdout_n": 0, "pretrain_ridge": 0.0},
+    "verify": {"seed": 0},
+    "weight-optimum": {"source_index": 0, "trials": 4000},
+    "quantity-monotone": {"source_index": 0, "trials": 4000,
+                          "rule": "optimal"},
+    "dimension-scaling": {"trials": 4000},
+    "plan-beats-random": {"trials": 5000, "random_plans": 10000, "mc_top": 10,
+                          "mc_trials": 200, "weight_high": 1.0},
+    "estimator-mean": {"trials": 2000},
+    "kl-mse-bridge": {"trials": 5000, "rel_tol": 0.1},
+}
 
 
-def load_schema(command):
-    if command not in COMMANDS:
-        raise ValueError(f"unknown command '{command}'")
-    if command not in _schema_cache:
-        ref = resources.files("transferopt") / "schemas" / f"{command}.json"
-        _schema_cache[command] = json.loads(ref.read_text(encoding="utf-8"))
-    return _schema_cache[command]
+@functools.cache
+def _definitions():
+    ref = resources.files("transferopt") / "schemas" / "config.json"
+    return json.loads(ref.read_text(encoding="utf-8"))["$defs"]
+
+
+def load_schema(name):
+    """Schema of a command's config or of a named check's nested config."""
+    if name not in DEFAULTS:
+        raise ValueError(f"unknown command or check '{name}'")
+    return {"$ref": f"#/$defs/{name}", "$defs": _definitions()}
 
 
 def load_config(path):
@@ -36,18 +58,16 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object", field="/")
     return config
 
 
-def validate_config(command, config):
-    """Check a config dict against its command schema.
+def validate_config(name, config):
+    """Check a config dict against its command's or check's schema.
 
     Raises ConfigError carrying the best-matching violation and the path
     of the field it occurred at.
     """
-    validator = Draft202012Validator(load_schema(command))
+    validator = Draft202012Validator(load_schema(name))
     errors = list(validator.iter_errors(config))
     if not errors:
         return

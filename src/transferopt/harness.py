@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS, validate_config
 from .errors import ConfigError, ParameterError, RegimeError, ScaleError
 from .families import get_family
 from .fisher import analytic_fisher
@@ -35,12 +36,7 @@ __all__ = [
     "brute_force_simplex",
     "verify_claim",
     "resolve_grid",
-    "DEFAULT_WEIGHT_TRIALS",
-    "DEFAULT_BRIDGE_TRIALS",
 ]
-
-DEFAULT_WEIGHT_TRIALS = 4000
-DEFAULT_BRIDGE_TRIALS = 5000
 
 # seed-path prefixes so the plan MC, the random-plan MCs, and the random
 # weight draws never share a stream
@@ -426,18 +422,18 @@ def _combined_se(a, b):
     return float(np.hypot(a, b))
 
 
-def _get(config, key, default=None):
-    if key in config:
-        return config[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"missing config field '{key}'", field=f"/{key}")
+def _check_grid(spec, integer=False):
+    """A check's grid; fewer than two points would compare nothing."""
+    grid = resolve_grid(spec, integer)
+    if len(grid) < 2:
+        raise ConfigError("a check grid needs at least two points",
+                          field="/grid")
+    return grid
 
 
 def config_family(config):
     """Model family named by a config's ``family`` block."""
-    spec = _get(config, "family")
-    return get_family(spec["name"], spec.get("params", {}))
+    return get_family(**config["family"])
 
 
 def config_ensemble(config, seed):
@@ -447,11 +443,11 @@ def config_ensemble(config, seed):
 
 
 def _check_weight_optimum(config, seed):
+    grid = _check_grid(config["grid"])
     family, ens = config_ensemble(config, seed)
-    idx = int(config.get("source_index", 0))
-    trials = int(config.get("trials", DEFAULT_WEIGHT_TRIALS))
-    grid_spec = _get(config, "grid")
-    result = sweep_weight(ens, idx, grid_spec, trials, seed)
+    idx = int(config["source_index"])
+    trials = int(config["trials"])
+    result = sweep_weight(ens, idx, grid, trials, seed)
     t_i = float(source_scalars(ens)[idx])
     w_star = single_source_weight(t_i, int(ens.source_budgets[idx]))
     star_idx = int(np.argmin(np.abs(result.grid - w_star)))
@@ -483,12 +479,12 @@ def _check_weight_optimum(config, seed):
 
 
 def _check_quantity_monotone(config, seed):
+    grid = _check_grid(config["grid"], integer=True)
     family, ens = config_ensemble(config, seed)
-    idx = int(config.get("source_index", 0))
-    trials = int(config.get("trials", DEFAULT_WEIGHT_TRIALS))
-    grid_spec = _get(config, "grid")
-    rule = config.get("rule", "optimal")
-    result = sweep_quantity(ens, idx, grid_spec, rule, trials, seed)
+    idx = int(config["source_index"])
+    trials = int(config["trials"])
+    rule = config["rule"]
+    result = sweep_quantity(ens, idx, grid, rule, trials, seed)
     diffs = np.diff(result.predicted)
     pred_ok = bool(np.all(diffs < -1e-12))
     mc_ok = True
@@ -515,13 +511,11 @@ def _check_quantity_monotone(config, seed):
 
 
 def _check_dimension_scaling(config, seed):
-    dims = [int(v) for v in _get(config, "dims")]
-    t = float(_get(config, "t"))
-    n0 = int(_get(config, "n_target"))
-    n1 = int(_get(config, "n_source"))
-    trials = int(config.get("trials", DEFAULT_WEIGHT_TRIALS))
-    if t < 0 or min(dims) < 1:
-        raise ConfigError("need t >= 0 and positive dims", field="/dims")
+    dims = [int(v) for v in config["dims"]]
+    t = float(config["t"])
+    n0 = int(config["n_target"])
+    n1 = int(config["n_source"])
+    trials = int(config["trials"])
     w_star = single_source_weight(t, n1)
     totals, means, stderrs, constants = [], [], [], []
     for d in dims:
@@ -568,11 +562,11 @@ def _check_dimension_scaling(config, seed):
 
 def _check_plan_beats_random(config, seed):
     family, ens = config_ensemble(config, seed)
-    trials = int(config.get("trials", 5000))
-    n_random = int(config.get("random_plans", 10000))
-    mc_top = int(config.get("mc_top", 10))
-    mc_trials = int(config.get("mc_trials", 200))
-    weight_high = float(config.get("weight_high", 1.0))
+    trials = int(config["trials"])
+    n_random = int(config["random_plans"])
+    mc_top = int(config["mc_top"])
+    mc_trials = int(config["mc_trials"])
+    weight_high = float(config["weight_high"])
     d = family.dim
     gram = _ensemble_gram(ens)
     budgets = ens.source_budgets.astype(float)
@@ -628,11 +622,10 @@ def _check_plan_beats_random(config, seed):
 
 def _check_estimator_mean(config, seed):
     family, ens = config_ensemble(config, seed)
-    weights = np.asarray(_get(config, "weights"), dtype=float)
-    if weights.shape != (ens.k,) or np.any(weights < 0):
-        raise ConfigError("weights must be K nonnegative values",
-                          field="/weights")
-    trials = int(config.get("trials", 2000))
+    weights = np.asarray(config["weights"], dtype=float)
+    if weights.shape != (ens.k,):
+        raise ConfigError("need one weight per source", field="/weights")
+    trials = int(config["trials"])
     estimates = np.empty((trials, len(ens.target_params)))
     for tr in range(trials):
         rng = derive_rng(seed, tr)
@@ -674,11 +667,10 @@ def _check_kl_mse_bridge(config, seed):
     from .kl import mse_kl_bridge
 
     family = config_family(config)
-    th0 = family.validate(np.asarray(_get(config, "target_params"),
-                                     dtype=float))
-    n0 = int(_get(config, "n_target"))
-    trials = int(config.get("trials", DEFAULT_BRIDGE_TRIALS))
-    rel_tol = float(config.get("rel_tol", 0.10))
+    th0 = family.validate(np.asarray(config["target_params"], dtype=float))
+    n0 = int(config["n_target"])
+    trials = int(config["trials"])
+    rel_tol = float(config["rel_tol"])
     estimates = []
     for tr in range(trials):
         rng = derive_rng(seed, tr)
@@ -719,13 +711,15 @@ def verify_claim(check, config, seed):
     dimension at matched distance scale), plan-beats-random (the planned
     weights beat random ones), estimator-mean (the weighted estimator
     centers on the mixture), kl-mse-bridge (divergence matches half the
-    Fisher-weighted mean squared error).
+    Fisher-weighted mean squared error). ``config`` is validated against
+    the check's schema entry; the check's defaults fill what it leaves out.
     """
     if check not in _CHECKS:
         known = ", ".join(sorted(_CHECKS))
         raise ConfigError(f"unknown check '{check}' (known: {known})",
                           field="/check")
-    report = _CHECKS[check](dict(config), int(seed))
+    validate_config(check, config)
+    report = _CHECKS[check]({**DEFAULTS[check], **config}, int(seed))
     report["check"] = check
     report["seed"] = int(seed)
     return report

@@ -11,10 +11,13 @@ import math
 import numpy as np
 import pytest
 
+import transferopt.cli
+import transferopt.harness
 from transferopt.cli import main
 from transferopt.config import COMMANDS, load_schema, validate_config
 from transferopt.errors import ConfigError
 from transferopt.families import SoftmaxRegression
+from transferopt.harness import verify_claim
 
 from helpers import CONFIGS, GOLDEN, load_json, predicted_single_oracle
 
@@ -66,30 +69,114 @@ def test_load_schema_rejects_unknown_command():
     assert set(COMMANDS) == set(_BUNDLED.values())
 
 
-def test_unknown_key_exits_2(tmp_path, capsys):
-    bad = dict(_ENSEMBLE_CFG, bogus=1)
-    rc, _, err = run(["weights", "--config", write_cfg(tmp_path, bad),
-                      "--out", str(tmp_path)], capsys)
+_CAT3 = {"name": "categorical", "params": {"num_outcomes": 3}}
+_GRID_CHECK = dict(_ENSEMBLE_CFG, grid=[0.0, 0.5, 1.0], trials=20)
+_BRIDGE = {"family": _CAT3, "target_params": [0.3, 0.4], "n_target": 50}
+_DIMS = {"dims": [1, 2], "t": 0.01, "n_target": 50, "n_source": 50,
+         "trials": 10}
+
+
+def _check(name, config):
+    return {"check": name, "config": config}
+
+
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+# (command, config, field the message starts at, words it must contain)
+_MALFORMED = {
+    "unknown-key": ("weights", dict(_ENSEMBLE_CFG, bogus=1), "/", ["bogus"]),
+    "family-name": ("weights", dict(_ENSEMBLE_CFG, family={
+        "name": "categoricl", "params": {"num_outcomes": 3}}),
+        "/family/name", ["categoricl"]),
+    "unknown-check": ("verify", _check("made-up-check", {}), "/check", []),
+    "check-without-sources": ("verify", _check(
+        "weight-optimum", _without(_GRID_CHECK, "sources")),
+        "/config", ["sources"]),
+    "source-with-only-budget": ("verify", _check(
+        "weight-optimum", dict(_GRID_CHECK, sources=[{"budget": 500}])),
+        "/config/sources/0", []),
+    "misspelled-check-key": ("verify", _check(
+        "kl-mse-bridge", dict(_BRIDGE, trails=20)), "/config", ["trails"]),
+    "one-trial": ("verify", _check(
+        "estimator-mean", dict(_ENSEMBLE_CFG, weights=[0.5], trials=1)),
+        "/config/trials", []),
+    "trials-not-a-number": ("verify", _check(
+        "kl-mse-bridge", dict(_BRIDGE, trials="many")), "/config/trials", []),
+    "no-dims": ("verify", _check("dimension-scaling", dict(_DIMS, dims=[])),
+                "/config/dims", []),
+    "one-dim": ("verify", _check("dimension-scaling", dict(_DIMS, dims=[3])),
+                "/config/dims", []),
+    "negative-t": ("verify", _check("dimension-scaling", dict(_DIMS, t=-1)),
+                   "/config/t", []),
+    "no-top-plans": ("verify", _check(
+        "plan-beats-random", dict(_ENSEMBLE_CFG, mc_top=0, trials=10)),
+        "/config/mc_top", []),
+    "one-point-weight-grid": ("verify", _check(
+        "weight-optimum", dict(_GRID_CHECK, grid=[0.5])), "/config/grid", []),
+    "one-point-step-grid": ("verify", _check(
+        "weight-optimum", dict(_GRID_CHECK, grid={
+            "start": 0.0, "stop": 0.05, "step": 0.1})), "/grid", []),
+    "one-point-quantity-grid": ("simulate", _check(
+        "quantity-monotone", dict(_GRID_CHECK, grid=[100])),
+        "/config/grid", []),
+    "family-param-string": ("weights", dict(_ENSEMBLE_CFG, family={
+        "name": "categorical", "params": {"num_outcomes": "3"}}),
+        "/family/params/num_outcomes", []),
+    "family-param-fraction": ("weights", dict(_ENSEMBLE_CFG, family={
+        "name": "categorical", "params": {"num_outcomes": 3.9}}),
+        "/family/params/num_outcomes", []),
+    "family-dim-fraction": ("weights", dict(
+        _ENSEMBLE_CFG, target_params=[0.1, 0.2],
+        family={"name": "gaussian_iso", "params": {"dim": 2.7}}),
+        "/family/params/dim", []),
+    "seed-over-64-bits": ("weights", dict(_ENSEMBLE_CFG, seed=2 ** 64),
+                          "/seed", []),
+    "ragged-directions": ("weights", dict(
+        load_json(CONFIGS / "weights_golden.json"),
+        directions=[[0.05, 0.03], [-0.08], [0.02, -0.04]]),
+        "/directions", []),
+    "ragged-fisher-matrix": ("weights", dict(
+        load_json(CONFIGS / "weights_golden.json"),
+        fisher_matrix=[[4.2, 1.1], [1.1]]), "/fisher_matrix", []),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_config_exits_2_naming_the_field(case, tmp_path, capsys,
+                                                   monkeypatch):
+    command, config, field, words = _MALFORMED[case]
+    trials = []
+    for module in (transferopt.cli, transferopt.harness):
+        monkeypatch.setattr(module, "mc_expected_kl",
+                            lambda *args, **kw: trials.append(args))
+    rc, _, err = run([command, "--config", write_cfg(tmp_path, config),
+                      "--out", str(tmp_path / "out")], capsys)
     assert rc == 2
-    assert err.startswith("config error")
-    assert "bogus" in err
+    assert err.startswith(f"config error at {field}: ")
+    for word in words:
+        assert word in err
+    assert trials == []
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_misspelled_family_exits_2(tmp_path, capsys):
-    bad = json.loads(json.dumps(_ENSEMBLE_CFG))
-    bad["family"]["name"] = "categoricl"
-    rc, _, err = run(["weights", "--config", write_cfg(tmp_path, bad),
-                      "--out", str(tmp_path)], capsys)
-    assert rc == 2
-    assert "/family/name" in err and "categoricl" in err
+def test_verify_claim_validates_the_nested_config():
+    cfg = dict(_ENSEMBLE_CFG, weights=[0.5], trials=1)
+    with pytest.raises(ConfigError) as exc:
+        verify_claim("estimator-mean", cfg, 1)
+    assert exc.value.field == "/trials"
+    with pytest.raises(ConfigError, match="trails"):
+        verify_claim("kl-mse-bridge", dict(_BRIDGE, trails=20), 1)
 
 
-def test_unknown_check_exits_2(tmp_path, capsys):
-    bad = {"check": "made-up-check", "config": {}}
-    rc, _, err = run(["verify", "--config", write_cfg(tmp_path, bad),
-                      "--out", str(tmp_path)], capsys)
-    assert rc == 2
-    assert "/check" in err
+def test_defaults_fill_a_copy_and_are_not_echoed(tmp_path, capsys):
+    rc, _, _ = run(["weights", "--config", write_cfg(tmp_path, _ENSEMBLE_CFG),
+                    "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    report = load_json(tmp_path / "report.json")
+    assert report["config"] == _ENSEMBLE_CFG
+    assert report["seed"] == 0
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
