@@ -14,7 +14,7 @@ from .errors import (  # noqa: F401
     UnsupportedFamilyError,
 )
 from .families import Categorical, GaussianIso, SoftmaxRegression, get_family  # noqa: F401
-from .fisher import analytic_fisher, empirical_fisher, gram_operator, projected_gram  # noqa: F401
+from .fisher import analytic_fisher, empirical_fisher, projected_gram  # noqa: F401
 from .kl import kl_exact, mc_expected_kl, mse_kl_bridge, predict_kl_multi, predict_kl_single  # noqa: F401
 from .planner import (  # noqa: F401
     TransferPlan,

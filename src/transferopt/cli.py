@@ -114,8 +114,7 @@ def _cmd_weights(config, seed):
         if len(budgets) != len(directions):
             raise ConfigError("need one budget per direction",
                               field="/budgets")
-        gram = directions @ fisher @ directions.T
-        qp = build_qp_matrix(None, gram, budgets, d)
+        qp = build_qp_matrix(directions.T, fisher, budgets, d)
         plan = optimal_plan(qp, n_target=int(config["n_target"]))
         results = {"mode": "explicit", "plan": plan.to_json_dict()}
     else:
@@ -135,7 +134,13 @@ def _cmd_weights(config, seed):
 
 def _cmd_verify(config, seed):
     check = config["check"]
-    report = verify_claim(check, config["config"], seed)
+    try:
+        report = verify_claim(check, config["config"], seed)
+    except ConfigError as err:
+        # the check reports fields of its own config, which sits at /config
+        if err.field:
+            err.field = "/config" + err.field
+        raise
     rows = [{
         "check": check,
         "verdict": report["verdict"],

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TransferOptError",
+    "ParameterError",
+    "SupportError",
+    "UnsupportedFamilyError",
+    "ConvergenceError",
+    "RegimeError",
+    "ScaleError",
+    "ConfigError",
+]
+
 
 class TransferOptError(Exception):
     """Base class for all package-specific failures."""

@@ -1,12 +1,11 @@
 """Fisher information, analytic and empirical, plus the projected path.
 
-Dense matrices are only built for moderate dimension. The planner never
-needs more than the K x K quadratic form of the information matrix against
-the source direction columns, so for large models only that projection is
-computed, one pass over the per-sample scores, never a d x d array.
+Every function returns a plain array. Dense d x d matrices are only built
+for moderate dimension. The planner never needs more than the K x K
+quadratic form of the information matrix against the source direction
+columns, so for large models only that projection is computed, one pass
+over the per-sample scores, never a d x d array.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,44 +13,12 @@ from .errors import UnsupportedFamilyError
 
 __all__ = [
     "DENSE_DIM_LIMIT",
-    "FisherOperator",
     "analytic_fisher",
     "empirical_fisher",
     "projected_gram",
-    "gram_operator",
 ]
 
 DENSE_DIM_LIMIT = 1024
-
-
-@dataclass
-class FisherOperator:
-    """Information matrix in one of two modes.
-
-    dense: holds the full d x d matrix.
-    gram: holds per-sample score projections onto K direction columns,
-    an (n_samples, K) array; the quadratic form against those directions
-    is recovered as proj^T proj / n.
-    """
-
-    mode: str
-    matrix: np.ndarray = None
-    projections: np.ndarray = None
-    directions: np.ndarray = None
-
-    def gram(self, directions=None):
-        """K x K quadratic form of J against direction columns."""
-        if self.mode == "dense":
-            if directions is None:
-                raise ValueError("dense operator needs explicit directions")
-            th = np.asarray(directions, dtype=float)
-            g = th.T @ self.matrix @ th
-        else:
-            if directions is not None and directions is not self.directions:
-                raise ValueError("gram operator is bound to its build directions")
-            p = self.projections
-            g = (p.T @ p) / p.shape[0]
-        return 0.5 * (g + g.T)  # kill roundoff asymmetry
 
 
 def analytic_fisher(family, theta):
@@ -63,7 +30,7 @@ def analytic_fisher(family, theta):
             "use empirical_fisher"
         )
     m = fn(theta)
-    return FisherOperator(mode="dense", matrix=0.5 * (m + m.T))
+    return 0.5 * (m + m.T)
 
 
 def empirical_fisher(family, theta, samples):
@@ -82,11 +49,12 @@ def empirical_fisher(family, theta, samples):
         )
     s = family.score_batch(theta, samples)
     m = (s.T @ s) / n
-    return FisherOperator(mode="dense", matrix=0.5 * (m + m.T))
+    return 0.5 * (m + m.T)
 
 
-def gram_operator(family, theta, samples, directions):
-    """Empirical information restricted to K direction columns."""
+def projected_gram(family, theta, samples, directions):
+    """Empirical information restricted to K direction columns: the K x K
+    matrix (1/n) sum_i (Theta^T g_i)(Theta^T g_i)^T."""
     th = np.asarray(directions, dtype=float)
     if th.ndim != 2 or th.shape[0] != family.dim:
         raise ValueError(
@@ -100,9 +68,5 @@ def gram_operator(family, theta, samples, directions):
         proj = project(theta, samples, th)
     else:
         proj = family.score_batch(theta, samples) @ th
-    return FisherOperator(mode="gram", projections=proj, directions=th)
-
-
-def projected_gram(family, theta, samples, directions):
-    """K x K matrix (1/n) sum_i (Theta^T g_i)(Theta^T g_i)^T."""
-    return gram_operator(family, theta, samples, directions).gram()
+    g = (proj.T @ proj) / proj.shape[0]
+    return 0.5 * (g + g.T)  # kill roundoff asymmetry

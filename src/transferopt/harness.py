@@ -17,10 +17,11 @@ from .config import DEFAULTS, validate_config
 from .errors import ConfigError, ParameterError, RegimeError, ScaleError
 from .families import get_family
 from .fisher import analytic_fisher
-from .kl import mc_expected_kl, predict_kl_multi, predict_kl_single
-from .planner import build_qp_matrix, optimal_plan, single_source_weight
+from .kl import (kl_exact, mc_expected_kl, mc_fits, mse_kl_bridge,
+                 predict_kl_multi, predict_kl_single)
+from .planner import (build_qp_matrix, direction_gram, optimal_plan,
+                      single_source_weight)
 from .rng import derive_rng
-from .weighted_mle import SourceBlock, WeightedDataset, fit_weighted_mle
 
 __all__ = [
     "TaskEnsemble",
@@ -232,10 +233,10 @@ def build_ensemble(family, config, master_seed):
 def _ensemble_gram(ensemble):
     """K x K matrix of information-weighted inner products of the source
     displacement directions, evaluated at the target parameters."""
-    fop = analytic_fisher(ensemble.family, ensemble.target_params)
+    j = analytic_fisher(ensemble.family, ensemble.target_params)
     dirs = np.stack([p - ensemble.target_params for p in ensemble.source_params],
                     axis=1)
-    return fop.gram(dirs)
+    return direction_gram(j, dirs)
 
 
 def source_scalars(ensemble):
@@ -265,49 +266,62 @@ def _predict_under(n_target, weights, quantities, gram, d):
 def _check_source_index(index, k):
     idx = int(index)
     if not 0 <= idx < k:
-        raise ValueError(f"source index {index} out of range for {k} sources")
+        raise ConfigError(f"source index {index} out of range for {k} sources",
+                          field="/source_index")
     return idx
 
 
-def _pinned(pinned_weights, k, idx):
+def _pinned(pinned_weights, k):
     if pinned_weights is None:
         return np.zeros(k)
     w = np.asarray(pinned_weights, dtype=float)
     if w.shape != (k,) or np.any(w < 0):
-        raise ValueError("pinned weights must be K nonnegative values")
+        raise ConfigError("pinned weights must be K nonnegative values",
+                          field="/pinned_weights")
     return w.copy()
 
 
-def sweep_weight(ensemble, source_index, grid, trials, seed,
-                 pinned_weights=None):
-    """Measured and predicted divergence as one source's weight varies.
+def _sweep(axis, ensemble, grid, gram, point, trials, seed):
+    """Measured and predicted curves over a grid, where ``point(value)``
+    gives the (weights, quantities) at a grid value.
 
     Grid points run serially. The point index enters the seed path, so
     each point's estimate is reproducible on its own, whatever else the
     grid holds.
     """
-    grid = resolve_grid(grid)
-    if np.any(grid < 0):
-        raise ValueError("weights must be nonnegative")
-    idx = _check_source_index(source_index, ensemble.k)
-    base = _pinned(pinned_weights, ensemble.k, idx)
-    gram = _ensemble_gram(ensemble)
     d = ensemble.family.dim
-    budgets = ensemble.source_budgets.astype(float)
     preds = np.empty(len(grid))
     means = np.empty(len(grid))
     stderrs = np.empty(len(grid))
-    for i, w in enumerate(grid):
-        wv = base.copy()
-        wv[idx] = w
-        preds[i] = _predict_under(ensemble.target_budget, wv, budgets, gram, d).total
+    for i, value in enumerate(grid):
+        wv, qv = point(value)
+        preds[i] = _predict_under(ensemble.target_budget, wv, qv, gram, d).total
         est = mc_expected_kl(ensemble.family, ensemble,
-                             PlanView(wv, ensemble.source_budgets),
+                             PlanView(wv, qv.astype(int)),
                              trials, seed, seed_prefix=(i,))
         means[i] = est.mean
         stderrs[i] = est.std_error
-    return SweepResult("weight", grid, means, stderrs, preds,
+    return SweepResult(axis, grid, means, stderrs, preds,
                        int(np.argmin(means)), int(np.argmin(preds)))
+
+
+def sweep_weight(ensemble, source_index, grid, trials, seed,
+                 pinned_weights=None):
+    """Measured and predicted divergence as one source's weight varies."""
+    grid = resolve_grid(grid)
+    if np.any(grid < 0):
+        raise ConfigError("weights must be nonnegative", field="/grid")
+    idx = _check_source_index(source_index, ensemble.k)
+    base = _pinned(pinned_weights, ensemble.k)
+    budgets = ensemble.source_budgets.astype(float)
+
+    def point(w):
+        wv = base.copy()
+        wv[idx] = w
+        return wv, budgets
+
+    return _sweep("weight", ensemble, grid, _ensemble_gram(ensemble), point,
+                  trials, seed)
 
 
 def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
@@ -320,38 +334,30 @@ def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
     grid = resolve_grid(grid, integer=True)
     idx = _check_source_index(source_index, ensemble.k)
     if grid[0] < 0 or grid[-1] > ensemble.source_budgets[idx]:
-        raise ValueError("quantity grid must stay within [0, source budget]")
-    base = _pinned(pinned_weights, ensemble.k, idx)
+        raise ConfigError("quantity grid must stay within [0, source budget]",
+                          field="/grid")
+    base = _pinned(pinned_weights, ensemble.k)
     gram = _ensemble_gram(ensemble)
-    d = ensemble.family.dim
-    t_i = float(gram[idx, idx]) / d
+    t_i = float(gram[idx, idx]) / ensemble.family.dim
     if weight_rule == "optimal":
         def rule(n):
             return 1.0 / (1.0 + t_i * n)
     else:
         fixed = float(weight_rule)
         if fixed < 0:
-            raise ValueError("fixed weight must be nonnegative")
+            raise ConfigError("fixed weight must be nonnegative", field="/rule")
 
         def rule(n):
             return fixed
 
-    preds = np.empty(len(grid))
-    means = np.empty(len(grid))
-    stderrs = np.empty(len(grid))
-    for i, n in enumerate(grid):
+    def point(n):
         wv = base.copy()
         wv[idx] = rule(int(n))
-        qv = ensemble.source_budgets.astype(float).copy()
+        qv = ensemble.source_budgets.astype(float)
         qv[idx] = float(n)
-        preds[i] = _predict_under(ensemble.target_budget, wv, qv, gram, d).total
-        est = mc_expected_kl(ensemble.family, ensemble,
-                             PlanView(wv, qv.astype(int)),
-                             trials, seed, seed_prefix=(i,))
-        means[i] = est.mean
-        stderrs[i] = est.std_error
-    return SweepResult("quantity", grid, means, stderrs, preds,
-                       int(np.argmin(means)), int(np.argmin(preds)))
+        return wv, qv
+
+    return _sweep("quantity", ensemble, grid, gram, point, trials, seed)
 
 
 def brute_force_simplex(m, step):
@@ -626,15 +632,9 @@ def _check_estimator_mean(config, seed):
     if weights.shape != (ens.k,):
         raise ConfigError("need one weight per source", field="/weights")
     trials = int(config["trials"])
-    estimates = np.empty((trials, len(ens.target_params)))
-    for tr in range(trials):
-        rng = derive_rng(seed, tr)
-        target = family.sample(ens.target_params, ens.target_budget, rng)
-        blocks = [
-            SourceBlock(family.sample(p, int(n), rng), float(w))
-            for p, n, w in zip(ens.source_params, ens.source_budgets, weights)
-        ]
-        estimates[tr] = fit_weighted_mle(family, WeightedDataset(target, blocks))
+    estimates = mc_fits(family, ens.target_params, ens.target_budget,
+                        zip(ens.source_params, ens.source_budgets, weights),
+                        trials, seed)
 
     masses = weights * ens.source_budgets
     denom = ens.target_budget + masses.sum()
@@ -664,18 +664,16 @@ def _check_estimator_mean(config, seed):
 
 
 def _check_kl_mse_bridge(config, seed):
-    from .kl import mse_kl_bridge
-
     family = config_family(config)
     th0 = family.validate(np.asarray(config["target_params"], dtype=float))
     n0 = int(config["n_target"])
     trials = int(config["trials"])
     rel_tol = float(config["rel_tol"])
-    estimates = []
-    for tr in range(trials):
-        rng = derive_rng(seed, tr)
-        target = family.sample(th0, n0, rng)
-        estimates.append(fit_weighted_mle(family, WeightedDataset(target, [])))
+    # both sides of the bridge need a closed form: a family without the
+    # divergence or the information matrix fails here, before any trial
+    kl_exact(family, th0, th0)
+    analytic_fisher(family, th0)
+    estimates = mc_fits(family, th0, n0, [], trials, seed)
     lhs, rhs = mse_kl_bridge(family, th0, estimates)
     rel_gap = abs(lhs - rhs) / abs(lhs)
     return {

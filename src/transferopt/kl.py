@@ -4,7 +4,8 @@
 2. ``predict_kl_single`` / ``predict_kl_multi``: the asymptotic predictions,
    split into their sampling-variance and domain-shift terms.
 3. ``mc_expected_kl``: seeded Monte Carlo over repeated estimation trials,
-   the oracle everything else is checked against. Trials run serially.
+   the oracle everything else is checked against. Its trials, like those
+   of every other Monte Carlo check, run serially in ``mc_fits``.
 
 ``mse_kl_bridge`` relates the measure to a Fisher-weighted mean squared
 error, the quadratic approximation that underlies the predictions.
@@ -25,6 +26,7 @@ __all__ = [
     "kl_exact",
     "predict_kl_single",
     "predict_kl_multi",
+    "mc_fits",
     "mc_expected_kl",
     "mse_kl_bridge",
 ]
@@ -81,11 +83,6 @@ def predict_kl_single(n_target, n_source, weight, t, d):
     return KlPrediction(variance, bias, 0.5 * d * (variance + bias))
 
 
-def _qp_matrix_array(qp_matrix):
-    m = getattr(qp_matrix, "m", qp_matrix)
-    return np.asarray(m, dtype=float)
-
-
 def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
     """Asymptotic measure for K weighted sources at full budget quantities.
 
@@ -104,7 +101,7 @@ def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
         raise ValueError("budgets and weights must be matching vectors")
     if np.any(nb < 1) or np.any(w < 0):
         raise ValueError("budgets must be >= 1 and weights nonnegative")
-    m = _qp_matrix_array(qp_matrix)
+    m = np.asarray(getattr(qp_matrix, "m", qp_matrix), dtype=float)
     b = w * nb
     s = float(b.sum())
     if s == 0.0:
@@ -118,15 +115,36 @@ def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
     return KlPrediction(variance, bias, 0.5 * d * (variance + bias))
 
 
-def _trial_kl(family, ensemble, weights, quantities, seed_path):
-    rng = derive_rng(*seed_path)
-    target = family.sample(ensemble.target_params, ensemble.target_budget, rng)
-    blocks = []
-    for th, n, w in zip(ensemble.source_params, quantities, weights):
-        draws = family.sample(th, int(n), rng)
-        blocks.append(SourceBlock(samples=draws, weight=float(w)))
-    est = fit_weighted_mle(family, WeightedDataset(target, blocks))
-    return kl_exact(family, ensemble.target_params, est)
+def mc_fits(family, target_params, n_target, sources, trials, master_seed,
+            seed_prefix=(), measure=None):
+    """Repeated seeded estimation, the trial loop of every Monte Carlo check.
+
+    Trial i derives its stream from (master_seed, *seed_prefix, i), draws
+    ``n_target`` target samples and then, for each ``(params, quantity,
+    weight)`` in ``sources``, that source's samples, and fits the weighted
+    MLE. Trials run one after another. Returns the fits, or
+    ``measure(fit)`` of each when given, stacked in one array.
+
+    A failing trial re-raises its own exception, with the trial index in a
+    ``trial`` attribute and a ``trial i:`` prefix on the message.
+    """
+    sources = [(p, int(n), float(w)) for p, n, w in sources]
+    out = []
+    for i in range(int(trials)):
+        try:
+            rng = derive_rng(int(master_seed), *seed_prefix, i)
+            target = family.sample(target_params, n_target, rng)
+            blocks = [SourceBlock(family.sample(p, n, rng), w)
+                      for p, n, w in sources]
+            est = fit_weighted_mle(family, WeightedDataset(target, blocks))
+            out.append(est if measure is None else measure(est))
+        except Exception as err:
+            # tag the same object: rebuilding it would drop its attributes
+            # and fails for constructors that take other arguments
+            err.trial = i
+            err.args = (f"trial {i}: {err}",)
+            raise
+    return np.array(out)
 
 
 def mc_expected_kl(family, ensemble, plan, trials, master_seed,
@@ -135,32 +153,21 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed,
 
     Each trial draws a fresh target dataset and fresh source datasets of
     the plan's quantities, fits the weighted MLE with the plan's weights,
-    and measures the divergence from the true target distribution. Trials
-    run one after another, each on its own stream derived from
-    (master_seed, *seed_prefix, trial).
+    and measures the divergence from the true target distribution; the
+    trials are those of ``mc_fits``.
 
     A family without a closed-form divergence is rejected before any
-    trial runs. A failing trial re-raises its own exception, with the
-    trial index in a ``trial`` attribute and a ``trial i:`` prefix on the
-    message.
+    trial runs.
     """
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     _divergence(family)
-    weights = np.asarray(plan.weights, dtype=float)
-    quantities = np.asarray(plan.quantities)
-    values = np.empty(trials)
-    for i in range(trials):
-        try:
-            values[i] = _trial_kl(family, ensemble, weights, quantities,
-                                  (int(master_seed), *seed_prefix, i))
-        except Exception as err:
-            # tag the same object: rebuilding it would drop its attributes
-            # and fails for constructors that take other arguments
-            err.trial = i
-            err.args = (f"trial {i}: {err}",)
-            raise
+    th0 = ensemble.target_params
+    values = mc_fits(family, th0, ensemble.target_budget,
+                     zip(ensemble.source_params, plan.quantities, plan.weights),
+                     trials, master_seed, seed_prefix,
+                     measure=lambda est: kl_exact(family, th0, est))
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(trials))
     return MonteCarloEstimate(mean, std_error, trials, int(master_seed))
@@ -180,6 +187,6 @@ def mse_kl_bridge(family, theta_true, estimates):
     th0 = np.asarray(theta_true, dtype=float)
     errs = np.stack([e - th0 for e in ests])
     cov = (errs.T @ errs) / len(ests)
-    j = analytic_fisher(family, theta_true).matrix
+    j = analytic_fisher(family, theta_true)
     rhs = float(0.5 * np.trace(j @ cov))
     return lhs, rhs

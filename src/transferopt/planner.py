@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .fisher import FisherOperator
+from .fisher import analytic_fisher
 from .kl import KlPrediction, predict_kl_multi, predict_kl_single
 from .rng import derive_rng
 
@@ -25,6 +25,7 @@ __all__ = [
     "QpSolution",
     "TransferPlan",
     "single_source_weight",
+    "direction_gram",
     "build_qp_matrix",
     "solve_simplex_qp",
     "optimal_plan",
@@ -146,28 +147,33 @@ def composed_quantity_derivative(n_target, n, t, d):
     return -d / (2.0 * denom * denom)
 
 
+def direction_gram(fisher, directions):
+    """K x K quadratic form Theta^T J Theta of the information matrix
+    against the direction columns."""
+    th = np.asarray(directions, dtype=float)
+    g = th.T @ fisher @ th
+    return 0.5 * (g + g.T)  # kill roundoff asymmetry
+
+
 def build_qp_matrix(directions, fisher, budgets, d):
     """Assemble M = (diag(d/N_i) + Theta^T J Theta) / d.
 
-    ``fisher`` may be a dense FisherOperator, a gram-mode operator built
-    against the same directions, or an already-computed K x K array.
+    With direction columns, ``fisher`` is the d x d information matrix J;
+    with ``directions=None`` it is the already-computed K x K gram.
     """
     nb = np.asarray(budgets, dtype=float)
     if nb.ndim != 1 or np.any(nb < 1):
         raise ValueError("budgets must be a vector of counts >= 1")
     k = len(nb)
-    if isinstance(fisher, FisherOperator):
-        if fisher.mode == "dense":
-            th = np.asarray(directions, dtype=float)
-            if th.ndim != 2 or th.shape[1] != k:
-                raise ValueError(
-                    f"directions must have one column per source, got {th.shape}"
-                )
-            gram = fisher.gram(th)
-        else:
-            gram = fisher.gram()
-    else:
+    if directions is None:
         gram = np.asarray(fisher, dtype=float)
+    else:
+        th = np.asarray(directions, dtype=float)
+        if th.ndim != 2 or th.shape[1] != k:
+            raise ValueError(
+                f"directions must have one column per source, got {th.shape}"
+            )
+        gram = direction_gram(fisher, th)
     if gram.shape != (k, k):
         raise ValueError(f"gram block must be {k}x{k}, got {gram.shape}")
     m = (np.diag(d / nb) + gram) / float(d)
@@ -277,19 +283,17 @@ def optimal_plan(qp, budgets=None, n_target=None, d=None):
 
 
 def plan_from_parameters(family, target_params, source_params, budgets,
-                         n_target, fisher_operator=None):
+                         n_target):
     """Convenience pipeline from raw parameter vectors.
 
-    Builds the direction columns, evaluates the information matrix at the
-    target parameters (analytic by default), and returns the optimal plan.
+    Builds the direction columns, evaluates the analytic information
+    matrix at the target parameters, and returns the optimal plan.
     """
-    from .fisher import analytic_fisher  # local to avoid import noise
-
     th0 = np.asarray(target_params, dtype=float)
     cols = [np.asarray(p, dtype=float) - th0 for p in source_params]
     directions = np.stack(cols, axis=1)
-    fop = fisher_operator or analytic_fisher(family, th0)
-    qp = build_qp_matrix(directions, fop, budgets, family.dim)
+    qp = build_qp_matrix(directions, analytic_fisher(family, th0), budgets,
+                         family.dim)
     return optimal_plan(qp, n_target=n_target)
 
 

@@ -16,7 +16,7 @@ import transferopt.harness
 from transferopt.cli import main
 from transferopt.config import COMMANDS, load_schema, validate_config
 from transferopt.errors import ConfigError
-from transferopt.families import SoftmaxRegression
+from transferopt.families import Categorical, SoftmaxRegression
 from transferopt.harness import verify_claim
 
 from helpers import CONFIGS, GOLDEN, load_json, predicted_single_oracle
@@ -74,6 +74,9 @@ _GRID_CHECK = dict(_ENSEMBLE_CFG, grid=[0.0, 0.5, 1.0], trials=20)
 _BRIDGE = {"family": _CAT3, "target_params": [0.3, 0.4], "n_target": 50}
 _DIMS = {"dims": [1, 2], "t": 0.01, "n_target": 50, "n_source": 50,
          "trials": 10}
+_WEIGHT_SWEEP = dict(_ENSEMBLE_CFG, axis="weight", grid=[0.0, 1.0], trials=10)
+_QUANTITY_SWEEP = dict(_ENSEMBLE_CFG, axis="quantity", grid=[0, 1500],
+                       trials=10)
 
 
 def _check(name, config):
@@ -117,7 +120,24 @@ _MALFORMED = {
         "weight-optimum", dict(_GRID_CHECK, grid=[0.5])), "/config/grid", []),
     "one-point-step-grid": ("verify", _check(
         "weight-optimum", dict(_GRID_CHECK, grid={
-            "start": 0.0, "stop": 0.05, "step": 0.1})), "/grid", []),
+            "start": 0.0, "stop": 0.05, "step": 0.1})), "/config/grid", []),
+    "check-source-index-out-of-range": ("verify", _check(
+        "weight-optimum", dict(_GRID_CHECK, source_index=5)),
+        "/config/source_index", ["out of range"]),
+    "check-negative-weight-grid": ("verify", _check(
+        "weight-optimum", dict(_GRID_CHECK, grid=[-0.5, 0.5, 1.0])),
+        "/config/grid", ["nonnegative"]),
+    "check-quantity-past-budget": ("simulate", _check(
+        "quantity-monotone", dict(_GRID_CHECK, grid=[0, 5000])),
+        "/config/grid", ["budget"]),
+    "sweep-source-index-out-of-range": ("sweep", dict(
+        _WEIGHT_SWEEP, source_index=5), "/source_index", ["out of range"]),
+    "sweep-negative-weight": ("sweep", dict(_WEIGHT_SWEEP, grid=[-0.5, 1.0]),
+                              "/grid", ["nonnegative"]),
+    "sweep-quantity-past-budget": ("sweep", dict(
+        _QUANTITY_SWEEP, grid=[0, 5000]), "/grid", ["budget"]),
+    "sweep-pinned-weights-length": ("sweep", dict(
+        _WEIGHT_SWEEP, pinned_weights=[0.1, 0.2]), "/pinned_weights", []),
     "one-point-quantity-grid": ("simulate", _check(
         "quantity-monotone", dict(_GRID_CHECK, grid=[100])),
         "/config/grid", []),
@@ -309,6 +329,30 @@ def test_simulate_rejects_family_without_divergence_before_sampling(
     assert rc == 2
     assert err.startswith("config error: no closed-form divergence for "
                           "family 'softmax_regression'")
+    assert "trial" not in err
+    assert sampled == []
+
+
+@pytest.mark.parametrize("family, target, cls, missing", [
+    ({"name": "softmax_regression",
+      "params": {"feature_dim": 2, "num_classes": 2}}, [0.3, 0.4, -0.2, 0.1],
+     SoftmaxRegression, "no closed-form divergence for family "
+                        "'softmax_regression'"),
+    (_CAT3, [0.3, 0.4], Categorical,
+     "family 'categorical' has no analytic information matrix"),
+], ids=["no-divergence", "no-information-matrix"])
+def test_bridge_rejects_family_without_closed_forms_before_sampling(
+        family, target, cls, missing, tmp_path, capsys, monkeypatch):
+    if cls is Categorical:
+        monkeypatch.delattr(Categorical, "analytic_fisher_matrix")
+    sampled = []
+    monkeypatch.setattr(cls, "sample", lambda *args: sampled.append(args))
+    cfg = _check("kl-mse-bridge", {"family": family, "target_params": target,
+                                   "n_target": 50, "trials": 3000})
+    rc, _, err = run(["verify", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert err.startswith(f"config error: {missing}")
     assert "trial" not in err
     assert sampled == []
 

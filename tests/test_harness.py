@@ -145,16 +145,21 @@ def test_quantity_sweep_monotone_under_optimal_rule(cat3):
 
 def test_sweep_argument_errors(cat3):
     ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 200, [(1.0, 300, 0)], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as exc:
         sweep_weight(ens, 5, [0.0, 1.0], 10, 3)
-    with pytest.raises(ValueError):
+    assert exc.value.field == "/source_index"
+    with pytest.raises(ConfigError) as exc:
         sweep_weight(ens, 0, [-0.5, 1.0], 10, 3)
-    with pytest.raises(ValueError):
+    assert exc.value.field == "/grid"
+    with pytest.raises(ConfigError) as exc:
         sweep_quantity(ens, 0, [0, 500], 1.0, 10, 3)  # past the budget
-    with pytest.raises(ValueError):
+    assert exc.value.field == "/grid"
+    with pytest.raises(ConfigError) as exc:
         sweep_quantity(ens, 0, [0, 300], -2.0, 10, 3)
-    with pytest.raises(ValueError):
+    assert exc.value.field == "/rule"
+    with pytest.raises(ConfigError) as exc:
         sweep_weight(ens, 0, [0.0, 1.0], 10, 3, pinned_weights=[0.1, 0.2])
+    assert exc.value.field == "/pinned_weights"
 
 
 def test_brute_force_small_cases():
@@ -311,7 +316,7 @@ def test_source_scalars_match_the_fisher_geometry(cat3):
 
     ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 400,
                             [(1.0, 300, 0), (2.0, 500, 1)], 43)
-    j = analytic_fisher(cat3, ens.target_params).matrix
+    j = analytic_fisher(cat3, ens.target_params)
     for i, p in enumerate(ens.source_params):
         u = p - ens.target_params
         want = float(u @ j @ u) / cat3.dim

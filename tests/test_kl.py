@@ -15,7 +15,7 @@ from transferopt import (
     predict_kl_single,
 )
 from transferopt.errors import ConvergenceError
-from transferopt.harness import PlanView, TaskEnsemble, generate_ensemble
+from transferopt.harness import PlanView, TaskEnsemble, generate_ensemble, verify_claim
 from transferopt.kl import KlPrediction
 from transferopt.planner import composed_quantity_objective
 
@@ -222,6 +222,40 @@ def test_mc_trial_failure_reraises_the_same_exception(cat3, monkeypatch,
         assert err.where == "block 1"
 
 
+_CAT3 = {"name": "categorical", "params": {"num_outcomes": 3}}
+
+
+@pytest.mark.parametrize("check, config", [
+    ("estimator-mean", {"family": _CAT3, "target_params": [0.3, 0.4],
+                        "n_target": 100, "weights": [0.5], "trials": 4,
+                        "sources": [{"params": [0.32, 0.38], "budget": 100}]}),
+    ("kl-mse-bridge", {"family": _CAT3, "target_params": [0.3, 0.4],
+                       "n_target": 100, "trials": 4}),
+], ids=["estimator-mean", "kl-mse-bridge"])
+def test_check_trial_failure_reraises_the_same_exception(monkeypatch, check,
+                                                         config):
+    error = ConvergenceError("no convergence", last_iterate=np.array([0.1, 0.2]),
+                             residual=0.5)
+    calls = []
+
+    def fit_fails_on_third_trial(family, data, opts=None):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error
+        return np.array([0.3, 0.4])
+
+    monkeypatch.setattr("transferopt.kl.fit_weighted_mle",
+                        fit_fails_on_third_trial)
+    with pytest.raises(ConvergenceError) as info:
+        verify_claim(check, config, 11)
+    err = info.value
+    assert err is error
+    assert err.trial == 2
+    assert str(err) == "trial 2: no convergence"
+    assert err.last_iterate.tolist() == [0.1, 0.2]
+    assert err.residual == 0.5
+
+
 def test_bridge_exact_cases(cat3):
     th0 = np.array([0.3, 0.4])
     lhs, rhs = mse_kl_bridge(cat3, th0, [th0.copy(), th0.copy()])
@@ -231,7 +265,7 @@ def test_bridge_exact_cases(cat3):
     lhs, rhs = mse_kl_bridge(cat3, th0, [e, e])
     assert abs(lhs - kl_exact(cat3, th0, e)) <= 1e-15
     from transferopt import analytic_fisher
-    j = analytic_fisher(cat3, th0).matrix
+    j = analytic_fisher(cat3, th0)
     want = 0.5 * float((e - th0) @ j @ (e - th0))
     assert abs(rhs - want) <= 1e-15
 

@@ -100,7 +100,7 @@ def test_qp_matrix_small_cases(gauss3):
 
 def test_qp_matrix_hand_computed(cat3, rng):
     th0 = np.array([0.3, 0.4])
-    j = analytic_fisher(cat3, th0).matrix
+    j = analytic_fisher(cat3, th0)
     cols = 0.02 * rng.standard_normal((2, 3))
     budgets = np.array([500.0, 900.0, 1300.0])
     d = 2
