@@ -8,6 +8,7 @@ slash-separated field path so the CLI can point at the offending entry.
 
 import functools
 import json
+import math
 from importlib import resources
 
 from jsonschema import Draft202012Validator
@@ -61,12 +62,27 @@ def load_config(path):
     return config
 
 
+def _numbers(node, path=""):
+    """Yield ``(path, value)`` for every float in a parsed config, in order."""
+    if isinstance(node, float):
+        yield path or "/", node
+    elif isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _numbers(child, f"{path}/{key}")
+
+
 def validate_config(name, config):
     """Check a config dict against its command's or check's schema.
 
-    Raises ConfigError carrying the best-matching violation and the path
-    of the field it occurred at.
+    Raises ConfigError carrying the path of the offending field: first at
+    any NaN or infinite number (``json.load`` accepts NaN, Infinity and
+    1e999, and schema bounds let them through), else at the schema's
+    best-matching violation.
     """
+    for path, value in _numbers(config):
+        if not math.isfinite(value):
+            raise ConfigError(f"{value} is not a finite number", field=path)
     validator = Draft202012Validator(load_schema(name))
     errors = list(validator.iter_errors(config))
     if not errors:

@@ -21,7 +21,8 @@ Three families are provided:
 
 Samples are represented as plain numpy data: an int array of outcomes for
 categorical, an ``(n, d)`` float array for the Gaussian, and a ``(Z, y)``
-pair for softmax regression.
+pair for softmax regression. Every observation method takes a whole batch
+and passes it through the family's ``check_batch`` first.
 """
 
 import numpy as np
@@ -99,40 +100,32 @@ class Categorical:
         th = self.validate(theta, for_sampling=True)
         return np.append(th, max(1.0 - th.sum(), 0.0))
 
-    # -- densities and scores -------------------------------------------
+    # -- observations -----------------------------------------------------
 
-    def log_density(self, theta, x):
-        """Log probability of outcome ``x``."""
+    def check_batch(self, xs):
+        """1-D batch of integer outcomes in the alphabet, else SupportError."""
+        xs = np.asarray(xs)
+        if xs.ndim != 1 or xs.size and (xs.dtype.kind not in "iu"
+                                        or xs.min() < 0
+                                        or xs.max() >= self.num_outcomes):
+            raise SupportError("outcome outside alphabet")
+        return xs.astype(np.int64)
+
+    def log_density_batch(self, theta, xs):
+        """Log probability of each outcome."""
         th = self.validate(theta)
-        xi = self._check_outcome(x)
+        xs = self.check_batch(xs)
         p = np.append(th, 1.0 - th.sum())
-        return float(np.log(p[xi]))
+        return np.log(p[xs])
 
-    def score(self, theta, x):
-        """Gradient of the log density with respect to the free parameters.
+    def score_batch(self, theta, xs):
+        """Gradient of each log density with respect to the free parameters.
 
         For outcome ``j`` the score is ``e_j / p_j`` when ``j`` is free and
         ``-1/p_last`` in every coordinate when ``j`` is the implied outcome.
         """
         th = self.validate(theta)
-        xi = self._check_outcome(x)
-        p_last = 1.0 - th.sum()
-        g = np.zeros(self.dim)
-        if xi < self.dim:
-            g[xi] = 1.0 / th[xi]
-        else:
-            g[:] = -1.0 / p_last
-        return g
-
-    def log_density_batch(self, theta, xs):
-        th = self.validate(theta)
-        xs = self._check_outcomes_batch(xs)
-        p = np.append(th, 1.0 - th.sum())
-        return np.log(p[xs])
-
-    def score_batch(self, theta, xs):
-        th = self.validate(theta)
-        xs = self._check_outcomes_batch(xs)
+        xs = self.check_batch(xs)
         p_last = 1.0 - th.sum()
         out = np.zeros((len(xs), self.dim))
         for j in range(self.dim):
@@ -171,7 +164,7 @@ class Categorical:
 
     def sufficient_counts(self, xs):
         """Outcome counts, the sufficient statistic for this family."""
-        xs = self._check_outcomes_batch(xs)
+        xs = self.check_batch(xs)
         return np.bincount(xs, minlength=self.num_outcomes).astype(float)
 
     def loglik_hessian(self, theta, xs):
@@ -182,22 +175,6 @@ class Categorical:
         h = np.full((self.dim, self.dim), -c[-1] / p_last**2)
         h[np.diag_indices(self.dim)] -= c[:-1] / th**2
         return h
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_outcome(self, x):
-        xi = int(x)
-        if not 0 <= xi < self.num_outcomes:
-            raise SupportError(
-                f"outcome {x} outside alphabet of size {self.num_outcomes}"
-            )
-        return xi
-
-    def _check_outcomes_batch(self, xs):
-        xs = np.asarray(xs)
-        if xs.size and (xs.min() < 0 or xs.max() >= self.num_outcomes):
-            raise SupportError("outcome outside alphabet")
-        return xs.astype(np.int64)
 
 
 class GaussianIso:
@@ -220,29 +197,21 @@ class GaussianIso:
             raise ParameterError("parameters must be finite")
         return th
 
-    def log_density(self, theta, x):
-        th = self.validate(theta)
-        xv = np.asarray(x, dtype=float)
-        if xv.shape != (self.dim,):
-            raise SupportError(f"observation must be a vector of length {self.dim}")
-        r = xv - th
-        return float(-0.5 * self.dim * np.log(2.0 * np.pi) - 0.5 * (r @ r))
-
-    def score(self, theta, x):
-        th = self.validate(theta)
-        xv = np.asarray(x, dtype=float)
-        if xv.shape != (self.dim,):
-            raise SupportError(f"observation must be a vector of length {self.dim}")
-        return xv - th
+    def check_batch(self, xs):
+        """Observations as an ``(n, dim)`` float array; SupportError if not."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise SupportError(f"observations must be (n, {self.dim})")
+        return xs
 
     def log_density_batch(self, theta, xs):
         th = self.validate(theta)
-        r = np.asarray(xs, dtype=float) - th
+        r = self.check_batch(xs) - th
         return -0.5 * self.dim * np.log(2.0 * np.pi) - 0.5 * np.einsum("ij,ij->i", r, r)
 
     def score_batch(self, theta, xs):
         th = self.validate(theta)
-        return np.asarray(xs, dtype=float) - th
+        return self.check_batch(xs) - th
 
     def sample(self, theta, n, rng):
         if n < 0:
@@ -264,7 +233,7 @@ class GaussianIso:
 
     def loglik_hessian(self, theta, xs):
         self.validate(theta)
-        return -float(len(xs)) * np.eye(self.dim)
+        return -float(len(self.check_batch(xs))) * np.eye(self.dim)
 
 
 class SoftmaxRegression:
@@ -295,52 +264,46 @@ class SoftmaxRegression:
             raise ParameterError("parameters must be finite")
         return th
 
-    def _weights(self, theta):
-        return self.validate(theta).reshape(self.num_classes, self.feature_dim)
-
-    def _class_probs(self, theta, Z):
-        logits = Z @ self._weights(theta).T
+    def class_probs(self, theta, zs):
+        """Predicted class probabilities for a feature batch, ``(n, c)``."""
+        weights = self.validate(theta).reshape(self.num_classes, self.feature_dim)
+        logits = np.asarray(zs, dtype=float) @ weights.T
         logits -= logits.max(axis=1, keepdims=True)
         q = np.exp(logits)
         q /= q.sum(axis=1, keepdims=True)
         return q
 
-    def _check_pair(self, x):
-        z, y = x
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.feature_dim,):
-            raise SupportError("feature vector has wrong length")
-        yi = int(y)
-        if not 0 <= yi < self.num_classes:
-            raise SupportError("label outside class range")
-        return z, yi
-
-    def log_density(self, theta, x):
-        z, y = self._check_pair(x)
-        q = self._class_probs(theta, z[None, :])[0]
-        return float(np.log(q[y]))
-
-    def score(self, theta, x):
-        z, y = self._check_pair(x)
-        q = self._class_probs(theta, z[None, :])[0]
-        r = -q
-        r[y] += 1.0
-        return np.outer(r, z).ravel()
-
-    def log_density_batch(self, theta, xs):
-        Z, y = xs
-        q = self._class_probs(theta, np.asarray(Z, dtype=float))
-        return np.log(q[np.arange(len(y)), np.asarray(y, dtype=int)])
-
-    def score_batch(self, theta, xs):
+    def check_batch(self, xs):
+        """``(n, feature_dim)`` float features and n integer labels in
+        ``[0, num_classes)``; SupportError otherwise."""
         Z, y = xs
         Z = np.asarray(Z, dtype=float)
-        y = np.asarray(y, dtype=int)
-        q = self._class_probs(theta, Z)
-        r = -q
+        y = np.asarray(y)
+        if Z.ndim != 2 or Z.shape[1] != self.feature_dim:
+            raise SupportError(f"features must be (n, {self.feature_dim})")
+        if y.shape != (len(Z),):
+            raise SupportError("need one label per feature row")
+        if y.size and (y.dtype.kind not in "iu" or y.min() < 0
+                       or y.max() >= self.num_classes):
+            raise SupportError("label outside class range")
+        return Z, y.astype(np.int64)
+
+    def _residuals(self, theta, xs):
+        """Checked features and the per-sample class residuals ``e_y - q``."""
+        Z, y = self.check_batch(xs)
+        r = -self.class_probs(theta, Z)
         r[np.arange(len(y)), y] += 1.0
+        return Z, r
+
+    def log_density_batch(self, theta, xs):
+        Z, y = self.check_batch(xs)
+        q = self.class_probs(theta, Z)
+        return np.log(q[np.arange(len(y)), y])
+
+    def score_batch(self, theta, xs):
+        Z, r = self._residuals(theta, xs)
         # score for sample i is outer(r_i, z_i) flattened
-        return (r[:, :, None] * Z[:, None, :]).reshape(len(y), self.dim)
+        return (r[:, :, None] * Z[:, None, :]).reshape(len(Z), self.dim)
 
     def score_project_batch(self, theta, xs, directions):
         """Per-sample scores projected onto direction columns, ``(n, K)``.
@@ -349,22 +312,13 @@ class SoftmaxRegression:
         ``C`` (reshaped to a weight matrix) the projection of sample ``i``
         is ``r_i . (C z_i)``.
         """
-        Z, y = xs
-        Z = np.asarray(Z, dtype=float)
-        y = np.asarray(y, dtype=int)
-        q = self._class_probs(theta, Z)
-        r = -q
-        r[np.arange(len(y)), y] += 1.0
+        Z, r = self._residuals(theta, xs)
         dirs = np.asarray(directions, dtype=float)
-        out = np.empty((len(y), dirs.shape[1]))
+        out = np.empty((len(Z), dirs.shape[1]))
         for k in range(dirs.shape[1]):
             ck = dirs[:, k].reshape(self.num_classes, self.feature_dim)
             out[:, k] = np.einsum("ij,ij->i", r, Z @ ck.T)
         return out
-
-    def class_probs(self, theta, zs):
-        """Predicted class probabilities for a feature batch, ``(n, c)``."""
-        return self._class_probs(theta, np.asarray(zs, dtype=float))
 
     def sample(self, theta, n, rng):
         if n < 0:
@@ -372,18 +326,19 @@ class SoftmaxRegression:
         th = self.validate(theta)
         r = _as_rng(rng)
         Z = r.standard_normal((int(n), self.feature_dim))
-        q = self._class_probs(th, Z)
+        q = self.class_probs(th, Z)
         u = r.random(int(n))
-        y = (u[:, None] > q.cumsum(axis=1)).sum(axis=1)
+        # label C-1 takes every u past the second-to-last cumulative sum, so
+        # a last sum rounded below 1 cannot yield label C
+        y = (u[:, None] > q.cumsum(axis=1)[:, :-1]).sum(axis=1)
         return Z, y.astype(np.int64)
 
     def n_samples(self, xs):
         return len(xs[1])
 
     def loglik_hessian(self, theta, xs):
-        Z, y = xs
-        Z = np.asarray(Z, dtype=float)
-        q = self._class_probs(theta, Z)
+        Z, _ = self.check_batch(xs)
+        q = self.class_probs(theta, Z)
         c, p = self.num_classes, self.feature_dim
         # sum over samples of -(diag(q) - q q^T) (x) (z z^T), with (x) the
         # Kronecker product, in two terms: (q q^T) (x) (z z^T) = w w^T with

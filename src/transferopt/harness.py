@@ -53,36 +53,33 @@ PlanView = namedtuple("PlanView", ["weights", "quantities"])
 
 @dataclass
 class TaskEnsemble:
-    """One target task plus K source tasks with recorded distance scales."""
+    """One target task plus K source tasks."""
 
     family: object
     target_params: np.ndarray
     target_budget: int
     source_params: list
     source_budgets: np.ndarray
-    regime_constants: np.ndarray
 
     def __post_init__(self):
         self.target_params = np.asarray(self.target_params, dtype=float)
         self.source_params = [np.asarray(p, dtype=float) for p in self.source_params]
         self.source_budgets = np.asarray(self.source_budgets, dtype=int)
-        self.regime_constants = np.asarray(self.regime_constants, dtype=float)
         if len(self.source_params) < 1:
             raise ParameterError("an ensemble needs at least one source")
         if self.target_budget < 1 or np.any(self.source_budgets < 1):
             raise ParameterError("budgets must be positive counts")
-        scale = np.sqrt(float(self.target_budget))
-        for i, p in enumerate(self.source_params):
-            c = scale * float(np.linalg.norm(p - self.target_params))
-            if abs(c - self.regime_constants[i]) > 1e-10:
-                raise ParameterError(
-                    f"recorded distance constant {self.regime_constants[i]} "
-                    f"for source {i} disagrees with parameters (actual {c})"
-                )
 
     @property
     def k(self):
         return len(self.source_params)
+
+    @property
+    def regime_constants(self):
+        """Distance constants ``sqrt(N0) * ||theta_i - theta_0||``."""
+        scale = np.sqrt(float(self.target_budget))
+        return np.array([scale * float(np.linalg.norm(p - self.target_params))
+                         for p in self.source_params])
 
     def to_json_dict(self):
         return {
@@ -214,7 +211,7 @@ def build_ensemble(family, config, master_seed):
     """
     th0 = family.validate(np.asarray(config["target_params"], dtype=float))
     n0 = int(config["n_target"])
-    params, budgets, constants = [], [], []
+    params, budgets = [], []
     for i, src in enumerate(config["sources"]):
         n = int(src["budget"])
         if "params" in src:
@@ -225,9 +222,7 @@ def build_ensemble(family, config, master_seed):
                                     int(master_seed))
         params.append(p)
         budgets.append(n)
-        constants.append(np.sqrt(float(n0)) * float(np.linalg.norm(p - th0)))
-    return TaskEnsemble(family, th0, n0, params, np.asarray(budgets),
-                        np.asarray(constants))
+    return TaskEnsemble(family, th0, n0, params, np.asarray(budgets))
 
 
 def _ensemble_gram(ensemble):
@@ -529,8 +524,7 @@ def _check_dimension_scaling(config, seed):
         th0 = np.zeros(d)
         # equal-component displacement keeps t exact in floating point
         th1 = np.full(d, np.sqrt(t))
-        ens = TaskEnsemble(family, th0, n0, [th1], np.array([n1]),
-                           np.array([np.sqrt(float(n0)) * np.linalg.norm(th1)]))
+        ens = TaskEnsemble(family, th0, n0, [th1], np.array([n1]))
         totals.append(predict_kl_single(n0, n1, w_star, t, d).total)
         est = mc_expected_kl(family, ens, PlanView(np.array([w_star]),
                                                    np.array([n1])),

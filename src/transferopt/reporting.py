@@ -8,6 +8,7 @@ bare newline row endings.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,15 +18,16 @@ from . import __version__
 
 
 def jsonable(obj):
-    """Recursively convert numpy containers and scalars for json.dumps."""
+    """Recursively convert numpy containers and scalars for json.dumps;
+    a non-finite float becomes None (null), so the output is strict JSON."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -34,7 +36,8 @@ def jsonable(obj):
 
 
 def dump_json(payload):
-    return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(jsonable(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_json(path, payload):

@@ -154,8 +154,7 @@ def holdout_metrics(family, theta, holdout_data):
     if not hasattr(family, "class_probs"):
         nll = -float(family.log_density_batch(theta, holdout_data).mean())
         return nll, float("nan")
-    zs, ys = holdout_data
-    ys = np.asarray(ys, dtype=int)
+    zs, ys = family.check_batch(holdout_data)
     q = family.class_probs(theta, zs)
     nll = -float(np.log(q[np.arange(len(ys)), ys]).mean())
     acc = float(np.mean(np.argmax(q, axis=1) == ys))

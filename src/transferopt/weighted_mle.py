@@ -111,12 +111,13 @@ def _closed_form_categorical(family, data):
 
 
 def _closed_form_gaussian(family, data):
-    n0 = family.n_samples(data.target_samples)
-    acc = np.asarray(data.target_samples, dtype=float).sum(axis=0)
-    mass = float(n0)
+    target = family.check_batch(data.target_samples)
+    acc = target.sum(axis=0)
+    mass = float(len(target))
     for b in _active_blocks(data):
-        acc = acc + b.weight * np.asarray(b.samples, dtype=float).sum(axis=0)
-        mass += b.weight * family.n_samples(b.samples)
+        xs = family.check_batch(b.samples)
+        acc = acc + b.weight * xs.sum(axis=0)
+        mass += b.weight * len(xs)
     return acc / mass
 
 

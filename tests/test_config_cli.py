@@ -13,6 +13,7 @@ import pytest
 
 import transferopt.cli
 import transferopt.harness
+import transferopt.kl
 from transferopt.cli import main
 from transferopt.config import COMMANDS, load_schema, validate_config
 from transferopt.errors import ConfigError
@@ -77,6 +78,15 @@ _DIMS = {"dims": [1, 2], "t": 0.01, "n_target": 50, "n_source": 50,
 _WEIGHT_SWEEP = dict(_ENSEMBLE_CFG, axis="weight", grid=[0.0, 1.0], trials=10)
 _QUANTITY_SWEEP = dict(_ENSEMBLE_CFG, axis="quantity", grid=[0, 1500],
                        trials=10)
+_TRAIN = {
+    "mode": "multi_source",
+    "family": {"name": "gaussian_iso", "params": {"dim": 2}},
+    "target": {"params": [0.1, -0.2], "n": 30},
+    "sources": [{"params": [0.3, 0.0], "n": 60}],
+    "train": {"learning_rate": 0.1, "epochs": 1,
+              "weight_update_period": 1, "ridge": 0.0},
+    "seed": 5,
+}
 
 
 def _check(name, config):
@@ -160,6 +170,15 @@ _MALFORMED = {
     "ragged-fisher-matrix": ("weights", dict(
         load_json(CONFIGS / "weights_golden.json"),
         fisher_matrix=[[4.2, 1.1], [1.1]]), "/fisher_matrix", []),
+    "infinite-rel-tol": ("verify", _check(
+        "kl-mse-bridge", dict(_BRIDGE, rel_tol=math.inf)), "/config/rel_tol",
+        ["inf", "finite"]),
+    "nan-learning-rate": ("train", dict(_TRAIN, train=dict(
+        _TRAIN["train"], learning_rate=math.nan)), "/train/learning_rate",
+        ["nan", "finite"]),
+    "nan-target-param": ("weights", dict(
+        _ENSEMBLE_CFG, target_params=[0.3, math.nan]), "/target_params/1",
+        ["nan", "finite"]),
 }
 
 
@@ -168,8 +187,11 @@ def test_malformed_config_exits_2_naming_the_field(case, tmp_path, capsys,
                                                    monkeypatch):
     command, config, field, words = _MALFORMED[case]
     trials = []
-    for module in (transferopt.cli, transferopt.harness):
-        monkeypatch.setattr(module, "mc_expected_kl",
+    for module, name in ((transferopt.cli, "mc_expected_kl"),
+                         (transferopt.harness, "mc_expected_kl"),
+                         (transferopt.harness, "mc_fits"),
+                         (transferopt.kl, "mc_fits")):
+        monkeypatch.setattr(module, name,
                             lambda *args, **kw: trials.append(args))
     rc, _, err = run([command, "--config", write_cfg(tmp_path, config),
                       "--out", str(tmp_path / "out")], capsys)
@@ -178,6 +200,18 @@ def test_malformed_config_exits_2_naming_the_field(case, tmp_path, capsys,
     for word in words:
         assert word in err
     assert trials == []
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_overflowing_literal_exits_2_naming_the_field(tmp_path, capsys):
+    # json.load reads 1e999 as inf; the schema's minimum would let it pass
+    text = json.dumps(_check("kl-mse-bridge", dict(_BRIDGE, rel_tol="TOL")))
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"TOL"', "1e999"), encoding="utf-8")
+    rc, _, err = run(["verify", "--config", str(path),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert err.startswith("config error at /config/rel_tol: ")
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -633,16 +667,7 @@ def test_sweep_rerun_byte_identical(tmp_path, capsys):
 
 
 def test_train_first_epoch_is_target_only(tmp_path, capsys):
-    cfg = {
-        "mode": "multi_source",
-        "family": {"name": "gaussian_iso", "params": {"dim": 2}},
-        "target": {"params": [0.1, -0.2], "n": 30},
-        "sources": [{"params": [0.3, 0.0], "n": 60}],
-        "train": {"learning_rate": 0.1, "epochs": 1,
-                  "weight_update_period": 1, "ridge": 0.0},
-        "seed": 5,
-    }
-    path = write_cfg(tmp_path, cfg)
+    path = write_cfg(tmp_path, _TRAIN)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         assert run(["train", "--config", path, "--out", str(out)],
@@ -655,6 +680,20 @@ def test_train_first_epoch_is_target_only(tmp_path, capsys):
     assert float(cells[2]) == 0.0  # plan kicks in after the first epoch
     for name in ("report.json", "trace.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_report_is_strict_json(tmp_path, capsys):
+    # no holdout set (holdout_n defaults to 0), so the holdout metrics are NaN
+    assert run(["train", "--config", write_cfg(tmp_path, _TRAIN),
+                "--out", str(tmp_path)], capsys)[0] == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    trace = json.loads(text, parse_constant=reject)["results"]["trace"]
+    assert trace["final_holdout_nll"] is None
+    assert trace["final_holdout_acc"] is None
 
 
 def test_bundled_two_source_training_ranks_sources(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_empirical_zero_score_sample(gauss3):
 def test_empirical_identical_scores_rank_one(cat3):
     theta = np.array([0.25, 0.25])
     xs = np.zeros(7, dtype=int)  # every sample is outcome 0
-    g = cat3.score(theta, 0)
+    g = cat3.score_batch(theta, [0])[0]
     assert np.array_equal(empirical_fisher(cat3, theta, xs),
                           np.outer(g, g))
 

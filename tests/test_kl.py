@@ -132,8 +132,7 @@ def test_mc_matches_pooling_closed_form(gauss1):
     the measured mean must sit within 3 standard errors of d/(2(N0+n))."""
     fam = gauss1
     th0 = np.array([0.7])
-    ens = TaskEnsemble(fam, th0, 400, [th0.copy()], np.array([600]),
-                       np.array([0.0]))
+    ens = TaskEnsemble(fam, th0, 400, [th0.copy()], np.array([600]))
     est = mc_expected_kl(fam, ens, PlanView(np.array([1.0]), np.array([600])),
                          800, 99)
     want = 1.0 / (2 * 1000)
