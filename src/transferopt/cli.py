@@ -47,10 +47,12 @@ _CONFIG_EXIT = (ConfigError, ParameterError, UnsupportedFamilyError, ValueError)
 _NUMERIC_EXIT = (ConvergenceError, RegimeError, ScaleError, SupportError,
                  FloatingPointError, np.linalg.LinAlgError)
 
-# data-generation stream roles for the train command
+# data-generation stream roles for the train command: dataset k of a role
+# draws from (seed, role, k), so no two datasets share a stream
 _TARGET_ROLE = 0
-_HOLDOUT_ROLE = 9
-_TASK_HOLDOUT_BASE = 9000
+_SOURCE_ROLE = 1
+_TASK_ROLE = 2
+_HOLDOUT_ROLE = 3
 
 
 def _build_parser():
@@ -236,19 +238,20 @@ def _cmd_train(config, seed):
         tgt = config["target"]
         tp = family.validate(np.asarray(tgt["params"], dtype=float))
         target_data = family.sample(tp, int(tgt["n"]),
-                                    derive_rng(seed, _TARGET_ROLE))
+                                    derive_rng(seed, _TARGET_ROLE, 0))
         source_data = []
         pretrained = []
         for k, src in enumerate(config["sources"]):
             sp = family.validate(np.asarray(src["params"], dtype=float))
-            data = family.sample(sp, int(src["n"]), derive_rng(seed, k + 1))
+            data = family.sample(sp, int(src["n"]),
+                                 derive_rng(seed, _SOURCE_ROLE, k))
             source_data.append(data)
             pretrained.append(pretrain_params(
                 family, data, ridge=float(config["pretrain_ridge"])))
         holdout = None
         if holdout_n:
             holdout = family.sample(tp, holdout_n,
-                                    derive_rng(seed, _HOLDOUT_ROLE))
+                                    derive_rng(seed, _HOLDOUT_ROLE, 0))
         trace = train_multi_source(family, target_data, source_data,
                                    pretrained, cfg, holdout_data=holdout)
         results = {"mode": "multi_source", "trace": trace.to_json_dict()}
@@ -261,10 +264,10 @@ def _cmd_train(config, seed):
         for k, task in enumerate(config["tasks"]):
             tp = family.validate(np.asarray(task["params"], dtype=float))
             datasets.append(family.sample(tp, int(task["n"]),
-                                          derive_rng(seed, k)))
+                                          derive_rng(seed, _TASK_ROLE, k)))
             holdouts.append(
                 family.sample(tp, holdout_n,
-                              derive_rng(seed, _TASK_HOLDOUT_BASE + k))
+                              derive_rng(seed, _HOLDOUT_ROLE, k))
                 if holdout_n else None)
         traces = train_multi_task(family, datasets, cfg, holdouts=holdouts)
         results = {

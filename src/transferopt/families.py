@@ -23,6 +23,12 @@ Samples are represented as plain numpy data: an int array of outcomes for
 categorical, an ``(n, d)`` float array for the Gaussian, and a ``(Z, y)``
 pair for softmax regression. Every observation method takes a whole batch
 and passes it through the family's ``check_batch`` first.
+
+The categorical and Gaussian families depend on a batch only through a
+sufficient statistic (outcome counts, the sample sum). Each offers it as
+``sufficient_stat(xs)`` and ``stat_sampler(theta)``; the latter draws the
+statistic of ``n`` samples directly, with the same distribution, so Monte
+Carlo trials need not draw the samples themselves.
 """
 
 import numpy as np
@@ -83,12 +89,12 @@ class Categorical:
                 f"categorical({self.num_outcomes}) expects {self.dim} free "
                 f"probabilities, got shape {th.shape}"
             )
-        if not np.all(np.isfinite(th)):
+        if not np.isfinite(th).all():
             raise ParameterError("parameters must be finite")
         last = 1.0 - th.sum()
         lo = 0.0 if for_sampling else INTERIOR_FLOOR
         # tiny negative slack absorbs float roundoff in the implied entry
-        if np.any(th < lo - 1e-15) or last < lo - 1e-15:
+        if th.min() < lo - 1e-15 or last < lo - 1e-15:
             raise ParameterError(
                 "probabilities must stay inside the simplex "
                 f"(floor {lo}); got {th} with implied last {last}"
@@ -158,19 +164,34 @@ class Categorical:
     def kl_divergence(self, theta_p, theta_q):
         th = self.validate(theta_p, for_sampling=True)
         p = np.append(th, 1.0 - np.sum(th))
-        q = self.probs(self.validate(theta_q))
+        th_q = self.validate(theta_q)
+        # an interior theta_q implies a last probability of at least the floor
+        q = np.append(th_q, 1.0 - th_q.sum())
         mask = p > 0
         return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
-    def sufficient_counts(self, xs):
+    def sufficient_stat(self, xs):
         """Outcome counts, the sufficient statistic for this family."""
         xs = self.check_batch(xs)
         return np.bincount(xs, minlength=self.num_outcomes).astype(float)
 
+    def stat_sampler(self, theta):
+        """``draw(n, rng)``: the outcome counts of ``n`` draws at ``theta``,
+        drawn as one multinomial. ``theta`` is checked here, once."""
+        p = self.probs(theta)
+        p = p / p.sum()
+
+        def draw(n, rng):
+            if n < 0:
+                raise ValueError("sample count must be nonnegative")
+            return rng.multinomial(int(n), p).astype(float)
+
+        return draw
+
     def loglik_hessian(self, theta, xs):
         """Hessian of the summed log likelihood at ``theta``."""
         th = self.validate(theta)
-        c = self.sufficient_counts(xs)
+        c = self.sufficient_stat(xs)
         p_last = 1.0 - th.sum()
         h = np.full((self.dim, self.dim), -c[-1] / p_last**2)
         h[np.diag_indices(self.dim)] -= c[:-1] / th**2
@@ -222,6 +243,23 @@ class GaussianIso:
 
     def n_samples(self, xs):
         return len(xs)
+
+    def sufficient_stat(self, xs):
+        """The sample sum, the sufficient statistic for the mean."""
+        return self.check_batch(xs).sum(axis=0)
+
+    def stat_sampler(self, theta):
+        """``draw(n, rng)``: the sum of ``n`` draws at ``theta``, drawn as
+        ``n theta + sqrt(n) z`` with ``z`` standard normal. ``theta`` is
+        checked here, once."""
+        th = self.validate(theta)
+
+        def draw(n, rng):
+            if n < 0:
+                raise ValueError("sample count must be nonnegative")
+            return n * th + np.sqrt(n) * rng.standard_normal(self.dim)
+
+        return draw
 
     def analytic_fisher_matrix(self, theta):
         self.validate(theta)

@@ -253,9 +253,8 @@ def _predict_under(n_target, weights, quantities, gram, d):
     if active.size == 0:
         return predict_kl_multi(n_target, np.empty(0), np.empty(0),
                                 np.zeros((0, 0)), d)
-    sub = gram[np.ix_(active, active)]
-    m_sub = (np.diag(d / q[active]) + sub) / float(d)
-    return predict_kl_multi(n_target, q[active], w[active], m_sub, d)
+    qp = build_qp_matrix(None, gram[np.ix_(active, active)], q[active], d)
+    return predict_kl_multi(n_target, q[active], w[active], qp.m, d)
 
 
 def _check_source_index(index, k):
@@ -577,10 +576,13 @@ def _check_plan_beats_random(config, seed):
 
     rng = derive_rng(seed, _RANDOM_DRAW_STREAM)
     weight_draws = rng.uniform(0.0, weight_high, size=(n_random, ens.k))
-    predictions = np.array([
-        _predict_under(ens.target_budget, w, budgets, gram, d).total
-        for w in weight_draws
-    ])
+    # predict_kl_multi at every draw at once, in masses b = w N with s =
+    # sum(b): (d/2) (N0 + b'Mb) / (N0 + s)^2; a zero weight adds nothing to
+    # b'Mb or s, as dropping that source would
+    masses = weight_draws * budgets
+    n0 = float(ens.target_budget)
+    quad = np.einsum("ri,ij,rj->r", masses, qp.m, masses)
+    predictions = 0.5 * d * (n0 + quad) / (n0 + masses.sum(axis=1)) ** 2
     beats_all = bool(plan_est.mean <= predictions.min())
 
     order = np.argsort(predictions)[:mc_top]
@@ -667,8 +669,12 @@ def _check_kl_mse_bridge(config, seed):
     # divergence or the information matrix fails here, before any trial
     kl_exact(family, th0, th0)
     analytic_fisher(family, th0)
-    estimates = mc_fits(family, th0, n0, [], trials, seed)
-    lhs, rhs = mse_kl_bridge(family, th0, estimates)
+    def divergence_then_estimate(est):
+        return np.append(kl_exact(family, th0, est), est)
+
+    rows = mc_fits(family, th0, n0, [], trials, seed,
+                   measure=divergence_then_estimate)
+    lhs, rhs = mse_kl_bridge(family, th0, rows[:, 1:], rows[:, 0])
     rel_gap = abs(lhs - rhs) / abs(lhs)
     return {
         "verdict": "pass" if rel_gap <= rel_tol else "fail",

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import UnsupportedFamilyError
 from .fisher import analytic_fisher
 from .rng import derive_rng
-from .weighted_mle import SourceBlock, WeightedDataset, fit_weighted_mle
+from .weighted_mle import (SourceBlock, WeightedDataset, fit_sufficient,
+                           fit_weighted_mle)
 
 __all__ = [
     "KlPrediction",
@@ -115,28 +116,55 @@ def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
     return KlPrediction(variance, bias, 0.5 * d * (variance + bias))
 
 
+def _trial_fit(family, target_params, n_target, sources):
+    """One trial's estimate as a function of the trial's stream.
+
+    A family with a sufficient statistic draws the target's and each
+    source's statistic directly and fits it in closed form; its
+    parameters are checked once, here. Any other family draws the samples
+    and fits the weighted MLE from them. Either way every source is drawn,
+    in order, whatever its weight.
+    """
+    if hasattr(family, "stat_sampler"):
+        target = family.stat_sampler(target_params)
+        draws = [(family.stat_sampler(p), n, w) for p, n, w in sources]
+
+        def fit(rng):
+            stats = [(target(n_target, rng), n_target, 1.0)]
+            stats += [(draw(n, rng), n, w) for draw, n, w in draws]
+            return fit_sufficient(family, stats)
+    else:
+        def fit(rng):
+            data = family.sample(target_params, n_target, rng)
+            blocks = [SourceBlock(family.sample(p, n, rng), w)
+                      for p, n, w in sources]
+            return fit_weighted_mle(family, WeightedDataset(data, blocks))
+    return fit
+
+
 def mc_fits(family, target_params, n_target, sources, trials, master_seed,
             seed_prefix=(), measure=None):
     """Repeated seeded estimation, the trial loop of every Monte Carlo check.
 
     Trial i derives its stream from (master_seed, *seed_prefix, i), draws
-    ``n_target`` target samples and then, for each ``(params, quantity,
-    weight)`` in ``sources``, that source's samples, and fits the weighted
-    MLE. Trials run one after another. Returns the fits, or
-    ``measure(fit)`` of each when given, stacked in one array.
+    the target's ``n_target`` observations and then, for each ``(params,
+    quantity, weight)`` in ``sources``, that source's, and fits the
+    weighted MLE. A categorical or Gaussian trial draws only the
+    sufficient statistic of each dataset (outcome counts, sample sum),
+    which has the distribution of the statistic of drawn samples. Trials
+    run one after another. Returns the fits, or ``measure(fit)`` of each
+    when given, stacked in one array.
 
     A failing trial re-raises its own exception, with the trial index in a
     ``trial`` attribute and a ``trial i:`` prefix on the message.
     """
+    n_target = int(n_target)
     sources = [(p, int(n), float(w)) for p, n, w in sources]
+    fit = _trial_fit(family, target_params, n_target, sources)
     out = []
     for i in range(int(trials)):
         try:
-            rng = derive_rng(int(master_seed), *seed_prefix, i)
-            target = family.sample(target_params, n_target, rng)
-            blocks = [SourceBlock(family.sample(p, n, rng), w)
-                      for p, n, w in sources]
-            est = fit_weighted_mle(family, WeightedDataset(target, blocks))
+            est = fit(derive_rng(int(master_seed), *seed_prefix, i))
             out.append(est if measure is None else measure(est))
         except Exception as err:
             # tag the same object: rebuilding it would drop its attributes
@@ -173,17 +201,21 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed,
     return MonteCarloEstimate(mean, std_error, trials, int(master_seed))
 
 
-def mse_kl_bridge(family, theta_true, estimates):
+def mse_kl_bridge(family, theta_true, estimates, divergences):
     """Mean divergence vs half the Fisher-weighted second moment.
 
-    Returns ``(lhs, rhs)`` where lhs averages ``kl_exact(theta_true, est)``
-    and rhs is ``0.5 * tr(J(theta_true) Cov)`` with Cov the empirical
+    Returns ``(lhs, rhs)`` where lhs averages ``divergences``, each
+    estimate's ``kl_exact(theta_true, est)`` as its trial measured it, and
+    rhs is ``0.5 * tr(J(theta_true) Cov)`` with Cov the empirical
     second-moment matrix of the estimation errors.
     """
     ests = [np.asarray(e, dtype=float) for e in estimates]
+    divs = np.asarray(divergences, dtype=float)
     if len(ests) < 2:
         raise ValueError("need at least two estimates")
-    lhs = float(np.mean([kl_exact(family, theta_true, e) for e in ests]))
+    if divs.shape != (len(ests),):
+        raise ValueError("need one divergence per estimate")
+    lhs = float(divs.mean())
     th0 = np.asarray(theta_true, dtype=float)
     errs = np.stack([e - th0 for e in ests])
     cov = (errs.T @ errs) / len(ests)

@@ -3,8 +3,9 @@
 The estimator maximizes the target log likelihood plus each source block's
 log likelihood multiplied by that block's nonnegative weight. Categorical
 and Gaussian families have closed forms (weighted counts and weighted
-means); everything else is solved by damped Newton ascent, with a gradient
-fallback for very high dimension.
+means), which ``fit_sufficient`` takes from the blocks' sufficient
+statistics; everything else is solved by damped Newton ascent, with a
+gradient fallback for very high dimension.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ __all__ = [
     "FitOptions",
     "MixtureDistribution",
     "fit_weighted_mle",
+    "fit_sufficient",
     "weighted_loglik",
     "weighted_loglik_grad",
     "mixture_view",
@@ -99,10 +101,29 @@ def weighted_loglik_grad(family, theta, data, ridge=0.0):
     return g
 
 
-def _closed_form_categorical(family, data):
-    counts = family.sufficient_counts(data.target_samples)
-    for b in _active_blocks(data):
-        counts = counts + b.weight * family.sufficient_counts(b.samples)
+def fit_sufficient(family, stats):
+    """Closed-form weighted MLE from sufficient statistics.
+
+    ``stats`` holds ``(statistic, count, weight)`` for the target (weight
+    1) and then each source block, where ``statistic`` is
+    ``family.sufficient_stat`` of ``count`` samples. Zero-weight blocks
+    are skipped; the rest are pooled as ``sum(weight * statistic)`` over a
+    mass of ``sum(weight * count)``.
+    """
+    (total, mass, _), *blocks = stats
+    mass = float(mass)
+    for stat, n, w in blocks:
+        if w > 0.0:
+            total = total + w * stat
+            mass += w * n
+    if isinstance(family, Categorical):
+        return _closed_form_categorical(total)
+    if isinstance(family, GaussianIso):
+        return _closed_form_gaussian(total, mass)
+    raise UnsupportedFamilyError(f"no closed form for family '{family.name}'")
+
+
+def _closed_form_categorical(counts):
     p = counts / counts.sum()
     # clamp onto the interior simplex so downstream densities stay finite
     p = np.clip(p, INTERIOR_FLOOR, None)
@@ -110,15 +131,8 @@ def _closed_form_categorical(family, data):
     return p[:-1]
 
 
-def _closed_form_gaussian(family, data):
-    target = family.check_batch(data.target_samples)
-    acc = target.sum(axis=0)
-    mass = float(len(target))
-    for b in _active_blocks(data):
-        xs = family.check_batch(b.samples)
-        acc = acc + b.weight * xs.sum(axis=0)
-        mass += b.weight * len(xs)
-    return acc / mass
+def _closed_form_gaussian(total, mass):
+    return total / mass
 
 
 def _newton(family, data, opts):
@@ -216,13 +230,15 @@ def fit_weighted_mle(family, data, opts=None):
         else:
             method = "gradient"
     if method == "closed_form":
-        if isinstance(family, Categorical):
-            return _closed_form_categorical(family, data)
-        if isinstance(family, GaussianIso):
-            return _closed_form_gaussian(family, data)
-        raise UnsupportedFamilyError(
-            f"no closed form for family '{family.name}'"
-        )
+        if not isinstance(family, (Categorical, GaussianIso)):
+            raise UnsupportedFamilyError(
+                f"no closed form for family '{family.name}'"
+            )
+        blocks = [(data.target_samples, 1.0)] + [
+            (b.samples, b.weight) for b in _active_blocks(data)]
+        return fit_sufficient(family, [
+            (family.sufficient_stat(xs), family.n_samples(xs), w)
+            for xs, w in blocks])
     if method == "newton":
         if isinstance(family, Categorical) and opts.init is None:
             # start strictly inside the simplex
@@ -250,10 +266,10 @@ def mixture_view(family, data):
     masses = [float(n0)] + [b.weight * n for b, n in zip(data.source_blocks, ns)]
     masses = np.asarray(masses, dtype=float)
     coeffs = masses / masses.sum()
-    emp = [family.sufficient_counts(data.target_samples) / n0]
+    emp = [family.sufficient_stat(data.target_samples) / n0]
     for b, n in zip(data.source_blocks, ns):
         # an empty or zero-weight block contributes a zero row with zero mass
-        emp.append(family.sufficient_counts(b.samples) / n if n else
+        emp.append(family.sufficient_stat(b.samples) / n if n else
                    np.zeros(family.num_outcomes))
     probs = np.einsum("i,ij->j", coeffs, np.asarray(emp))
     return MixtureDistribution(component_weights=coeffs, outcome_probs=probs)

@@ -1,8 +1,9 @@
 """Independent oracles shared across the test modules.
 
 Everything here is written from the closed forms directly, without calling
-into the package, so a transcription slip in the library cannot hide. Keep
-these dumb and obvious.
+into the package, so a transcription slip in the library cannot hide. The
+one exception, ``sampled_fits``, runs the package's per-sample path as the
+oracle for its sufficient-statistic draws. Keep these dumb and obvious.
 """
 
 import itertools
@@ -10,6 +11,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from transferopt.rng import derive_rng
+from transferopt.weighted_mle import SourceBlock, WeightedDataset, fit_weighted_mle
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -91,3 +95,17 @@ def softmax_hessian_oracle(feature_dim, num_classes, theta, zs):
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def sampled_fits(family, target_params, n_target, sources, trials, seed):
+    """Monte Carlo fits the long way: trial i draws every target and source
+    sample from stream (seed, i) and fits the weighted MLE to the samples.
+    ``sources`` holds ``(params, quantity, weight)`` triples."""
+    fits = []
+    for i in range(trials):
+        rng = derive_rng(seed, i)
+        target = family.sample(target_params, n_target, rng)
+        blocks = [SourceBlock(family.sample(p, n, rng), w)
+                  for p, n, w in sources]
+        fits.append(fit_weighted_mle(family, WeightedDataset(target, blocks)))
+    return np.array(fits)

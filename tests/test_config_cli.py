@@ -379,8 +379,15 @@ def test_bridge_rejects_family_without_closed_forms_before_sampling(
         family, target, cls, missing, tmp_path, capsys, monkeypatch):
     if cls is Categorical:
         monkeypatch.delattr(Categorical, "analytic_fisher_matrix")
+    # a categorical trial draws counts, not samples: watch the trial loop
+    # itself as well as every way a trial draws
     sampled = []
     monkeypatch.setattr(cls, "sample", lambda *args: sampled.append(args))
+    if hasattr(cls, "stat_sampler"):
+        monkeypatch.setattr(cls, "stat_sampler",
+                            lambda *args: sampled.append(args))
+    monkeypatch.setattr("transferopt.harness.mc_fits",
+                        lambda *args, **kw: sampled.append(args))
     cfg = _check("kl-mse-bridge", {"family": family, "target_params": target,
                                    "n_target": 50, "trials": 3000})
     rc, _, err = run(["verify", "--config", write_cfg(tmp_path, cfg),
@@ -680,6 +687,30 @@ def test_train_first_epoch_is_target_only(tmp_path, capsys):
     assert float(cells[2]) == 0.0  # plan kicks in after the first epoch
     for name in ("report.json", "trace.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_train_datasets_never_share_a_stream(tmp_path, capsys, monkeypatch):
+    # every dataset has the target's parameters and size, so two datasets
+    # drawn from one stream would be equal; nine sources used to put
+    # source 8 on the holdout's stream
+    seen = {}
+    train = transferopt.cli.train_multi_source
+
+    def record(family, target, sources, pretrained, cfg, holdout_data=None):
+        seen.update(target=target, sources=sources, holdout=holdout_data)
+        return train(family, target, sources, pretrained, cfg,
+                     holdout_data=holdout_data)
+
+    monkeypatch.setattr(transferopt.cli, "train_multi_source", record)
+    same = {"params": [0.1, -0.2], "n": 40}
+    cfg = dict(_TRAIN, target=same, sources=[same] * 9, holdout_n=40)
+    assert run(["train", "--config", write_cfg(tmp_path, cfg),
+                "--out", str(tmp_path)], capsys)[0] == 0
+    data = [seen["target"], *seen["sources"], seen["holdout"]]
+    assert len(data) == 11
+    for i, a in enumerate(data):
+        for b in data[i + 1:]:
+            assert not np.array_equal(a, b)
 
 
 def test_report_is_strict_json(tmp_path, capsys):

@@ -196,8 +196,8 @@ def test_out_of_support_batches_raise_support_error(case):
              lambda xs: family.log_density_batch(theta, xs),
              lambda xs: family.score_batch(theta, xs),
              lambda xs: family.loglik_hessian(theta, xs)]
-    if hasattr(family, "sufficient_counts"):
-        calls.append(family.sufficient_counts)
+    if hasattr(family, "sufficient_stat"):
+        calls.append(family.sufficient_stat)
     if hasattr(family, "score_project_batch"):
         calls.append(lambda xs: family.score_project_batch(
             theta, xs, np.eye(family.dim)[:, :2]))
@@ -250,8 +250,37 @@ def test_categorical_exact_forms(cat3):
     J = cat3.analytic_fisher_matrix(theta)
     want = np.diag([5.0, 1.0 / 0.3]) + 2.0
     assert np.allclose(J, want, atol=1e-12)
-    counts = cat3.sufficient_counts(np.array([0, 0, 2, 1]))
+    counts = cat3.sufficient_stat(np.array([0, 0, 2, 1]))
     assert np.array_equal(counts, [2.0, 1.0, 1.0])
+
+
+def test_statistic_draws_are_statistics(cat3, gauss3):
+    rng = derive_rng(4)
+    draw = cat3.stat_sampler(np.array([0.3, 0.4]))
+    for n in (0, 1, 7, 2000, 10 ** 6):
+        counts = draw(n, rng)
+        assert counts.shape == (3,)
+        assert counts.sum() == n
+        assert np.all(counts >= 0) and np.array_equal(counts, np.floor(counts))
+    # a boundary distribution can be drawn from, as it can be sampled
+    assert np.array_equal(cat3.stat_sampler([1.0, 0.0])(9, rng), [9, 0, 0])
+    total = gauss3.stat_sampler(np.ones(3))
+    assert np.array_equal(total(0, rng), np.zeros(3))
+    assert total(5, rng).shape == (3,)
+    for sampler in (draw, total):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sampler(-1, rng)
+    with pytest.raises(ParameterError):
+        cat3.stat_sampler([0.7, 0.6])
+    with pytest.raises(ParameterError):
+        gauss3.stat_sampler([0.0, np.nan, 0.0])
+
+
+def test_sufficient_stat_of_samples(cat3, gauss3):
+    xs = gauss3.sample(np.zeros(3), 6, 2)
+    assert np.array_equal(gauss3.sufficient_stat(xs), xs.sum(axis=0))
+    assert np.array_equal(cat3.sufficient_stat(np.array([], dtype=int)),
+                          np.zeros(3))
 
 
 def test_gaussian_exact_forms(gauss3):

@@ -16,7 +16,9 @@ from transferopt import (
     sweep_weight,
     verify_claim,
 )
+from transferopt import harness
 from transferopt.harness import TaskEnsemble, build_ensemble, resolve_grid, source_scalars
+from transferopt.rng import derive_rng
 
 from helpers import naive_simplex_minimum, rand_psd
 
@@ -274,6 +276,31 @@ def test_plan_beats_random_check_passes():
     details = report["details"]
     assert details["beats_all_predictions"] and details["within_noise_of_best"]
     assert set(details["plan"]) >= {"alpha", "weights", "quantities"}
+
+
+def test_random_plan_predictions_match_one_plan_at_a_time():
+    cfg = {
+        "family": {"name": "categorical", "params": {"num_outcomes": 3}},
+        "target_params": [0.3, 0.4],
+        "n_target": 500,
+        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0},
+                    {"c": 3.0, "budget": 900, "direction_seed": 1},
+                    {"c": 6.0, "budget": 200, "direction_seed": 2}],
+        "trials": 20,
+        "random_plans": 300,
+        "mc_top": 2,
+        "mc_trials": 10,
+        "weight_high": 2.0,
+    }
+    report = verify_claim("plan-beats-random", cfg, 31)
+    _, ens = harness.config_ensemble(cfg, 31)
+    gram = harness._ensemble_gram(ens)
+    draws = derive_rng(31, harness._RANDOM_DRAW_STREAM).uniform(
+        0.0, 2.0, size=(300, 3))
+    want = min(harness._predict_under(500, w, ens.source_budgets, gram,
+                                      2).total for w in draws)
+    got = report["details"]["min_random_predicted"]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_estimator_mean_check_passes_and_is_deterministic():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from transferopt import (
+    get_family,
     kl_exact,
     mc_expected_kl,
     mse_kl_bridge,
@@ -16,10 +17,11 @@ from transferopt import (
 )
 from transferopt.errors import ConvergenceError
 from transferopt.harness import PlanView, TaskEnsemble, generate_ensemble, verify_claim
-from transferopt.kl import KlPrediction
+from transferopt.kl import KlPrediction, mc_fits
 from transferopt.planner import composed_quantity_objective
 
-from helpers import predicted_multi_oracle, predicted_single_oracle, rand_psd
+from helpers import (predicted_multi_oracle, predicted_single_oracle,
+                     rand_psd, sampled_fits)
 
 
 def test_divergence_zero_iff_equal(cat3, gauss3, rng):
@@ -140,6 +142,34 @@ def test_mc_matches_pooling_closed_form(gauss1):
     assert est.trials == 800 and est.master_seed == 99
 
 
+# (family, params, target, sources): one active source, one at zero weight,
+# one at zero quantity
+@pytest.mark.parametrize("name, params, target, sources", [
+    ("categorical", {"num_outcomes": 3}, [0.3, 0.4],
+     [([0.4, 0.3], 150, 0.6), ([0.1, 0.1], 80, 0.0), ([0.6, 0.2], 0, 0.8)]),
+    ("gaussian_iso", {"dim": 2}, [0.2, -0.1],
+     [([0.6, 0.0], 150, 0.6), ([3.0, 3.0], 80, 0.0), ([-1.0, 1.0], 0, 0.8)]),
+], ids=["categorical", "gaussian_iso"])
+def test_statistic_draws_match_sampled_fits(name, params, target, sources):
+    """mc_fits draws each dataset's sufficient statistic; fitting drawn
+    samples instead gives the same distribution of estimates. The mean
+    divergence and each coordinate of the mean estimate agree within 4
+    combined standard errors."""
+    family = get_family(name, params)
+    target = np.array(target)
+    trials = 1500
+
+    def summary(fits):
+        divs = np.array([kl_exact(family, target, f) for f in fits])
+        cols = [divs] + [fits[:, j] for j in range(family.dim)]
+        return [(c.mean(), c.std(ddof=1) / np.sqrt(trials)) for c in cols]
+
+    drawn = summary(mc_fits(family, target, 100, sources, trials, 7))
+    sampled = summary(sampled_fits(family, target, 100, sources, trials, 8))
+    for (a, se_a), (b, se_b) in zip(drawn, sampled):
+        assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
+
+
 def test_mc_categorical_at_planned_weight(cat3):
     ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 2000,
                             [(2.0, 2000, 0)], 55)
@@ -200,13 +230,13 @@ def test_mc_trial_failure_reraises_the_same_exception(cat3, monkeypatch,
     message = str(error)
     calls = []
 
-    def fit_fails_on_third_trial(family, data, opts=None):
+    def fit_fails_on_third_trial(counts):
         calls.append(None)
         if len(calls) == 3:
             raise error
         return np.array([0.3, 0.4])
 
-    monkeypatch.setattr("transferopt.kl.fit_weighted_mle",
+    monkeypatch.setattr("transferopt.weighted_mle._closed_form_categorical",
                         fit_fails_on_third_trial)
     with pytest.raises(type(error)) as info:
         mc_expected_kl(cat3, ens, plan, 4, 11)
@@ -237,13 +267,13 @@ def test_check_trial_failure_reraises_the_same_exception(monkeypatch, check,
                              residual=0.5)
     calls = []
 
-    def fit_fails_on_third_trial(family, data, opts=None):
+    def fit_fails_on_third_trial(counts):
         calls.append(None)
         if len(calls) == 3:
             raise error
         return np.array([0.3, 0.4])
 
-    monkeypatch.setattr("transferopt.kl.fit_weighted_mle",
+    monkeypatch.setattr("transferopt.weighted_mle._closed_form_categorical",
                         fit_fails_on_third_trial)
     with pytest.raises(ConvergenceError) as info:
         verify_claim(check, config, 11)
@@ -257,11 +287,12 @@ def test_check_trial_failure_reraises_the_same_exception(monkeypatch, check,
 
 def test_bridge_exact_cases(cat3):
     th0 = np.array([0.3, 0.4])
-    lhs, rhs = mse_kl_bridge(cat3, th0, [th0.copy(), th0.copy()])
+    lhs, rhs = mse_kl_bridge(cat3, th0, [th0.copy(), th0.copy()], [0.0, 0.0])
     assert lhs == 0.0 and rhs == 0.0
 
     e = np.array([0.32, 0.38])
-    lhs, rhs = mse_kl_bridge(cat3, th0, [e, e])
+    div = kl_exact(cat3, th0, e)
+    lhs, rhs = mse_kl_bridge(cat3, th0, [e, e], [div, div])
     assert abs(lhs - kl_exact(cat3, th0, e)) <= 1e-15
     from transferopt import analytic_fisher
     j = analytic_fisher(cat3, th0)
@@ -269,7 +300,9 @@ def test_bridge_exact_cases(cat3):
     assert abs(rhs - want) <= 1e-15
 
     with pytest.raises(ValueError):
-        mse_kl_bridge(cat3, th0, [e])
+        mse_kl_bridge(cat3, th0, [e], [div])
+    with pytest.raises(ValueError, match="one divergence per estimate"):
+        mse_kl_bridge(cat3, th0, [e, e], [div])
 
 
 def test_bridge_holds_at_moderate_scale(cat3):
@@ -284,7 +317,8 @@ def test_bridge_holds_at_moderate_scale(cat3):
         r = derive_rng(17, tr)
         ests.append(fit_weighted_mle(cat3, WeightedDataset(
             cat3.sample(th0, 2000, r), [])))
-    lhs, rhs = mse_kl_bridge(cat3, th0, ests)
+    lhs, rhs = mse_kl_bridge(cat3, th0, ests,
+                             [kl_exact(cat3, th0, e) for e in ests])
     assert abs(lhs - rhs) <= 0.10 * lhs
 
 
