@@ -17,7 +17,15 @@ class TransferOptError(Exception):
 
 
 class ParameterError(TransferOptError):
-    """A parameter vector is invalid for its model family."""
+    """A parameter vector is invalid for its model family.
+
+    `row` holds the index of the first bad row when a stack of parameter
+    vectors was checked at once.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class SupportError(TransferOptError):

@@ -54,6 +54,18 @@ def _as_rng(seed_or_rng):
     return derive_rng(int(seed_or_rng))
 
 
+def _param_rows(theta, dim, what):
+    """One parameter vector of length ``dim``, or a ``(T, dim)`` stack of
+    them, as float rows ``(T, dim)``; ParameterError for any other shape."""
+    th = np.asarray(theta, dtype=float)
+    if th.ndim not in (1, 2) or th.shape[-1] != dim:
+        raise ParameterError(
+            f"expected {what} of length {dim}, or a stack of them, "
+            f"got shape {th.shape}"
+        )
+    return th.reshape(-1, dim)
+
+
 class Categorical:
     """Finite distribution over ``num_outcomes`` symbols.
 
@@ -161,14 +173,46 @@ class Categorical:
         p_last = 1.0 - th.sum()
         return np.diag(1.0 / th) + 1.0 / p_last
 
+    def _interior_probs(self, theta):
+        """Full probability rows ``(T, num_outcomes)`` of one parameter
+        vector or a ``(T, dim)`` stack, every row checked in one pass.
+
+        A row that is non-finite or off the interior simplex raises
+        ParameterError with the first such row's index in ``row``.
+        """
+        rows = _param_rows(theta, self.dim, f"categorical({self.num_outcomes}) "
+                                            "free probabilities")
+        # cumsum adds in one fixed order, so a row's value does not depend
+        # on the rows stacked with it
+        last = 1.0 - np.cumsum(rows, axis=1)[:, -1]
+        finite = np.isfinite(rows).all(axis=1)
+        lo = INTERIOR_FLOOR - 1e-15
+        bad = ~finite | (rows.min(axis=1) < lo) | (last < lo)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ParameterError(
+                "parameters must be finite" if not finite[i] else
+                "probabilities must stay inside the simplex (floor "
+                f"{INTERIOR_FLOOR}); got {rows[i]} with implied last {last[i]}",
+                row=i,
+            )
+        return np.column_stack((rows, last))
+
     def kl_divergence(self, theta_p, theta_q):
+        """Divergence from ``theta_p`` to ``theta_q``.
+
+        ``theta_q`` is one parameter vector, giving a float, or a ``(T,
+        dim)`` stack, giving one divergence per row; a stack is checked
+        and measured in one array pass (see ``_interior_probs``).
+        ``theta_p`` may sit on the simplex boundary.
+        """
         th = self.validate(theta_p, for_sampling=True)
         p = np.append(th, 1.0 - np.sum(th))
-        th_q = self.validate(theta_q)
-        # an interior theta_q implies a last probability of at least the floor
-        q = np.append(th_q, 1.0 - th_q.sum())
+        q = self._interior_probs(theta_q)
         mask = p > 0
-        return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+        terms = p[mask] * np.log(p[mask] / q[:, mask])
+        div = np.cumsum(terms, axis=1)[:, -1]
+        return float(div[0]) if np.ndim(theta_q) == 1 else div
 
     def sufficient_stat(self, xs):
         """Outcome counts, the sufficient statistic for this family."""
@@ -266,8 +310,23 @@ class GaussianIso:
         return np.eye(self.dim)
 
     def kl_divergence(self, theta_p, theta_q):
-        dp = self.validate(theta_p) - self.validate(theta_q)
-        return float(0.5 * (dp @ dp))
+        """Divergence from ``theta_p`` to ``theta_q``, ``|p - q|^2 / 2``.
+
+        ``theta_q`` is one mean, giving a float, or a ``(T, dim)`` stack,
+        giving one divergence per row; a stack is checked and measured in
+        one array pass, and a non-finite row raises ParameterError with
+        the first such row's index in ``row``.
+        """
+        th = self.validate(theta_p)
+        rows = _param_rows(theta_q, self.dim, "mean")
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise ParameterError("parameters must be finite",
+                                 row=int(bad.argmax()))
+        dp = th - rows
+        # one (1, d) @ (d, 1) product per row takes the same dot as dp @ dp
+        div = 0.5 * np.matmul(dp[:, None, :], dp[:, :, None])[:, 0, 0]
+        return float(div[0]) if np.ndim(theta_q) == 1 else div
 
     def loglik_hessian(self, theta, xs):
         self.validate(theta)

@@ -17,8 +17,8 @@ from .config import DEFAULTS, validate_config
 from .errors import ConfigError, ParameterError, RegimeError, ScaleError
 from .families import get_family
 from .fisher import analytic_fisher
-from .kl import (kl_exact, mc_expected_kl, mc_fits, mse_kl_bridge,
-                 predict_kl_multi, predict_kl_single)
+from .kl import (kl_exact, mc_divergences, mc_expected_kl, mc_fits,
+                 mse_kl_bridge, predict_kl_multi, predict_kl_single)
 from .planner import (build_qp_matrix, direction_gram, optimal_plan,
                       single_source_weight)
 from .rng import derive_rng
@@ -669,12 +669,9 @@ def _check_kl_mse_bridge(config, seed):
     # divergence or the information matrix fails here, before any trial
     kl_exact(family, th0, th0)
     analytic_fisher(family, th0)
-    def divergence_then_estimate(est):
-        return np.append(kl_exact(family, th0, est), est)
-
-    rows = mc_fits(family, th0, n0, [], trials, seed,
-                   measure=divergence_then_estimate)
-    lhs, rhs = mse_kl_bridge(family, th0, rows[:, 1:], rows[:, 0])
+    fits = mc_fits(family, th0, n0, [], trials, seed)
+    lhs, rhs = mse_kl_bridge(family, th0, fits,
+                             mc_divergences(family, th0, fits))
     rel_gap = abs(lhs - rhs) / abs(lhs)
     return {
         "verdict": "pass" if rel_gap <= rel_tol else "fail",

@@ -5,7 +5,9 @@
    split into their sampling-variance and domain-shift terms.
 3. ``mc_expected_kl``: seeded Monte Carlo over repeated estimation trials,
    the oracle everything else is checked against. Its trials, like those
-   of every other Monte Carlo check, run serially in ``mc_fits``.
+   of every other Monte Carlo check, run serially in ``mc_fits``; the
+   stacked fits of an estimate are then measured in one call,
+   ``mc_divergences``.
 
 ``mse_kl_bridge`` relates the measure to a Fisher-weighted mean squared
 error, the quadratic approximation that underlies the predictions.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedFamilyError
+from .errors import ParameterError, UnsupportedFamilyError
 from .fisher import analytic_fisher
 from .rng import derive_rng
 from .weighted_mle import (SourceBlock, WeightedDataset, fit_sufficient,
@@ -28,6 +30,7 @@ __all__ = [
     "predict_kl_single",
     "predict_kl_multi",
     "mc_fits",
+    "mc_divergences",
     "mc_expected_kl",
     "mse_kl_bridge",
 ]
@@ -64,7 +67,12 @@ def _divergence(family):
 
 
 def kl_exact(family, theta_p, theta_q):
-    """Divergence from the distribution at ``theta_p`` to ``theta_q``."""
+    """Divergence from the distribution at ``theta_p`` to ``theta_q``.
+
+    ``theta_q`` is one parameter vector, giving a float, or a ``(T, dim)``
+    stack such as ``mc_fits`` returns, giving one divergence per row; the
+    family checks the whole stack, and measures it, in one call.
+    """
     return _divergence(family)(theta_p, theta_q)
 
 
@@ -142,8 +150,15 @@ def _trial_fit(family, target_params, n_target, sources):
     return fit
 
 
+def _tag_trial(err, i):
+    # tag the same object: rebuilding it would drop its attributes and
+    # fails for constructors that take other arguments
+    err.trial = i
+    err.args = (f"trial {i}: {err}",)
+
+
 def mc_fits(family, target_params, n_target, sources, trials, master_seed,
-            seed_prefix=(), measure=None):
+            seed_prefix=()):
     """Repeated seeded estimation, the trial loop of every Monte Carlo check.
 
     Trial i derives its stream from (master_seed, *seed_prefix, i), draws
@@ -152,8 +167,9 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     weighted MLE. A categorical or Gaussian trial draws only the
     sufficient statistic of each dataset (outcome counts, sample sum),
     which has the distribution of the statistic of drawn samples. Trials
-    run one after another. Returns the fits, or ``measure(fit)`` of each
-    when given, stacked in one array.
+    run one after another. Returns the fits stacked as one ``(trials,
+    dim)`` array; whatever measures them (``mc_divergences``) takes the
+    whole stack in one call.
 
     A failing trial re-raises its own exception, with the trial index in a
     ``trial`` attribute and a ``trial i:`` prefix on the message.
@@ -164,15 +180,27 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     out = []
     for i in range(int(trials)):
         try:
-            est = fit(derive_rng(int(master_seed), *seed_prefix, i))
-            out.append(est if measure is None else measure(est))
+            out.append(fit(derive_rng(int(master_seed), *seed_prefix, i)))
         except Exception as err:
-            # tag the same object: rebuilding it would drop its attributes
-            # and fails for constructors that take other arguments
-            err.trial = i
-            err.args = (f"trial {i}: {err}",)
+            _tag_trial(err, i)
             raise
     return np.array(out)
+
+
+def mc_divergences(family, theta_true, fits):
+    """Divergence from ``theta_true`` to each of an estimate's stacked
+    trial fits, checked and taken in one ``kl_exact`` call.
+
+    A fit off the family's parameter space fails as a failing trial of
+    ``mc_fits`` does: the exception names the first bad row as its
+    ``trial`` and carries the ``trial i:`` prefix.
+    """
+    try:
+        return kl_exact(family, theta_true, fits)
+    except ParameterError as err:
+        if err.row is not None:
+            _tag_trial(err, err.row)
+        raise
 
 
 def mc_expected_kl(family, ensemble, plan, trials, master_seed,
@@ -180,9 +208,10 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed,
     """Monte Carlo estimate of the expected divergence under a plan.
 
     Each trial draws a fresh target dataset and fresh source datasets of
-    the plan's quantities, fits the weighted MLE with the plan's weights,
-    and measures the divergence from the true target distribution; the
-    trials are those of ``mc_fits``.
+    the plan's quantities and fits the weighted MLE with the plan's
+    weights; the trials are those of ``mc_fits``. The stacked fits are
+    then checked, and their divergences from the true target distribution
+    taken, in one call (``mc_divergences``).
 
     A family without a closed-form divergence is rejected before any
     trial runs.
@@ -192,10 +221,10 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed,
         raise ValueError("need at least 2 trials for a standard error")
     _divergence(family)
     th0 = ensemble.target_params
-    values = mc_fits(family, th0, ensemble.target_budget,
-                     zip(ensemble.source_params, plan.quantities, plan.weights),
-                     trials, master_seed, seed_prefix,
-                     measure=lambda est: kl_exact(family, th0, est))
+    fits = mc_fits(family, th0, ensemble.target_budget,
+                   zip(ensemble.source_params, plan.quantities, plan.weights),
+                   trials, master_seed, seed_prefix)
+    values = mc_divergences(family, th0, fits)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(trials))
     return MonteCarloEstimate(mean, std_error, trials, int(master_seed))
@@ -204,20 +233,23 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed,
 def mse_kl_bridge(family, theta_true, estimates, divergences):
     """Mean divergence vs half the Fisher-weighted second moment.
 
-    Returns ``(lhs, rhs)`` where lhs averages ``divergences``, each
-    estimate's ``kl_exact(theta_true, est)`` as its trial measured it, and
-    rhs is ``0.5 * tr(J(theta_true) Cov)`` with Cov the empirical
-    second-moment matrix of the estimation errors.
+    ``estimates`` is one ``(n, family.dim)`` array of estimates and
+    ``divergences`` holds each one's ``kl_exact(theta_true, est)``.
+    Returns ``(lhs, rhs)`` where lhs averages ``divergences`` and rhs is
+    ``0.5 * tr(J(theta_true) Cov)`` with Cov the empirical second-moment
+    matrix of the estimation errors.
     """
-    ests = [np.asarray(e, dtype=float) for e in estimates]
+    ests = np.asarray(estimates, dtype=float)
     divs = np.asarray(divergences, dtype=float)
+    if ests.ndim != 2 or ests.shape[1] != family.dim:
+        raise ValueError(f"estimates must be an (n, {family.dim}) array, "
+                         f"got shape {ests.shape}")
     if len(ests) < 2:
         raise ValueError("need at least two estimates")
     if divs.shape != (len(ests),):
         raise ValueError("need one divergence per estimate")
     lhs = float(divs.mean())
-    th0 = np.asarray(theta_true, dtype=float)
-    errs = np.stack([e - th0 for e in ests])
+    errs = ests - np.asarray(theta_true, dtype=float)
     cov = (errs.T @ errs) / len(ests)
     j = analytic_fisher(family, theta_true)
     rhs = float(0.5 * np.trace(j @ cov))

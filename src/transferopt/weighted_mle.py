@@ -126,7 +126,7 @@ def fit_sufficient(family, stats):
 def _closed_form_categorical(counts):
     p = counts / counts.sum()
     # clamp onto the interior simplex so downstream densities stay finite
-    p = np.clip(p, INTERIOR_FLOOR, None)
+    p = np.maximum(p, INTERIOR_FLOOR)
     p = p / p.sum()
     return p[:-1]
 

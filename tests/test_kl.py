@@ -15,7 +15,10 @@ from transferopt import (
     predict_kl_multi,
     predict_kl_single,
 )
-from transferopt.errors import ConvergenceError
+import transferopt.kl
+import transferopt.weighted_mle
+from transferopt.errors import ConvergenceError, ParameterError
+from transferopt.families import Categorical
 from transferopt.harness import PlanView, TaskEnsemble, generate_ensemble, verify_claim
 from transferopt.kl import KlPrediction, mc_fits
 from transferopt.planner import composed_quantity_objective
@@ -43,6 +46,118 @@ def test_divergence_known_values(cat2, gauss1):
     want = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
     assert abs(got - want) <= 1e-15
     assert abs(got - 0.14384103622589045) <= 1e-12
+
+
+def _divergence_stack(family, rows, boundary, rng):
+    """A target and ``rows`` stacked parameter vectors of ``family``;
+    ``boundary`` puts the categorical target's first outcome at zero."""
+    if isinstance(family, Categorical):
+        m = family.num_outcomes
+        target = rng.dirichlet(np.ones(m))
+        if boundary:
+            target[0] = 0.0
+            target /= target.sum()
+        # mixed with the uniform distribution: every row stays interior
+        stack = 0.8 * rng.dirichlet(np.ones(m), size=rows) + 0.2 / m
+        return target[:-1], stack[:, :-1]
+    return rng.standard_normal(family.dim), rng.standard_normal((rows, family.dim))
+
+
+_DIVERGENCE_CASES = (
+    [("categorical", {"num_outcomes": m}, boundary)
+     for m in (2, 3, 5) for boundary in (False, True)]
+    + [("gaussian_iso", {"dim": d}, False) for d in range(1, 9)])
+
+
+@pytest.mark.parametrize("rows", [1, 2000])
+@pytest.mark.parametrize("name, params, boundary", _DIVERGENCE_CASES,
+                         ids=[f"{n}-{next(iter(p.values()))}"
+                              f"{'-boundary' if b else ''}"
+                              for n, p, b in _DIVERGENCE_CASES])
+def test_stacked_divergence_equals_per_row_divergence(name, params, boundary,
+                                                      rows, rng):
+    """A (T, d) stack gives, bit for bit, the divergence of each row taken
+    alone, and a single row still gives a Python float."""
+    family = get_family(name, params)
+    target, stack = _divergence_stack(family, rows, boundary, rng)
+    got = kl_exact(family, target, stack)
+    want = [kl_exact(family, target, row) for row in stack]
+    assert all(type(v) is float for v in want)
+    assert got.shape == (rows,)
+    assert got.tolist() == want
+    assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("categorical", {"num_outcomes": 3}), ("gaussian_iso", {"dim": 2})])
+def test_stacked_divergence_rejects_bad_rows(name, params, rng):
+    family = get_family(name, params)
+    target, stack = _divergence_stack(family, 8, False, rng)
+    bad_rows = [(5, [np.nan, 0.2]), (2, [0.2, np.inf])]
+    if isinstance(family, Categorical):
+        bad_rows += [(3, [0.7, 0.6]), (6, [-0.1, 0.3])]  # off the simplex
+    for row, values in bad_rows:
+        bad = stack.copy()
+        bad[row] = values
+        with pytest.raises(ParameterError) as info:
+            kl_exact(family, target, bad)
+        assert info.value.row == row
+    # the first bad row is the one named
+    bad = stack.copy()
+    bad[[4, 6]] = [np.nan, 0.2]
+    with pytest.raises(ParameterError) as info:
+        kl_exact(family, target, bad)
+    assert info.value.row == 4
+    for shape in [(8, family.dim + 1), (8, family.dim - 1), (2, 8, family.dim)]:
+        with pytest.raises(ParameterError, match="shape"):
+            kl_exact(family, target, np.full(shape, 0.1))
+
+
+def test_mc_bad_fit_reraises_as_its_trial(cat3, monkeypatch):
+    """Every fit of an estimate is checked in one divergence call; a fit
+    off the simplex still fails as its own trial."""
+    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 100,
+                            [(0.5, 100, 0)], 3)
+    plan = PlanView(np.array([0.5]), np.array([100]))
+    calls = []
+
+    def off_simplex_on_third_trial(counts):
+        calls.append(None)
+        return np.array([0.7, 0.6] if len(calls) == 3 else [0.3, 0.4])
+
+    monkeypatch.setattr("transferopt.weighted_mle._closed_form_categorical",
+                        off_simplex_on_third_trial)
+    with pytest.raises(ParameterError) as info:
+        mc_expected_kl(cat3, ens, plan, 5, 11)
+    assert info.value.trial == 2
+    assert str(info.value).startswith("trial 2: probabilities must stay")
+    assert len(calls) == 5
+
+
+def test_mc_takes_every_divergence_of_an_estimate_in_one_call(cat3,
+                                                              monkeypatch):
+    """T trials: T streams and T closed-form fits, one divergence call."""
+    counts = {"kl": 0, "fit": 0, "rng": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Categorical, "kl_divergence",
+                        counted("kl", Categorical.kl_divergence))
+    monkeypatch.setattr(
+        "transferopt.weighted_mle._closed_form_categorical",
+        counted("fit", transferopt.weighted_mle._closed_form_categorical))
+    monkeypatch.setattr("transferopt.kl.derive_rng",
+                        counted("rng", transferopt.kl.derive_rng))
+    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 100,
+                            [(0.5, 100, 0)], 3)
+    est = mc_expected_kl(cat3, ens, PlanView(np.array([0.5]), np.array([100])),
+                         37, 11)
+    assert est.trials == 37
+    assert counts == {"kl": 1, "fit": 37, "rng": 37}
 
 
 def test_single_source_prediction_endpoints():
@@ -301,6 +416,11 @@ def test_bridge_exact_cases(cat3):
 
     with pytest.raises(ValueError):
         mse_kl_bridge(cat3, th0, [e], [div])
+    # estimates one column short of d = 2 must not broadcast against th0
+    with pytest.raises(ValueError, match=r"\(n, 2\).*\(2, 1\)"):
+        mse_kl_bridge(cat3, th0, [[0.3], [0.3]], [div, div])
+    with pytest.raises(ValueError, match="shape"):
+        mse_kl_bridge(cat3, th0, np.full((2, 2, 1), 0.3), [div, div])
     with pytest.raises(ValueError, match="one divergence per estimate"):
         mse_kl_bridge(cat3, th0, [e, e], [div])
 
