@@ -46,7 +46,6 @@ from .trainer import (  # noqa: F401
     weighted_loss,
 )
 from .weighted_mle import (  # noqa: F401
-    FitOptions,
     SourceBlock,
     WeightedDataset,
     fit_weighted_mle,

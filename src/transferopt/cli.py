@@ -302,7 +302,7 @@ def _run(args):
     else:
         seed = int(settings["seed"])
     if args.threads is not None and args.threads < 0:
-        raise ConfigError("threads must be positive")
+        raise ConfigError("threads must be nonnegative")
     out_dir = Path(args.out or os.environ.get("TRANSFEROPT_OUT") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 

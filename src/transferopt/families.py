@@ -27,8 +27,9 @@ and passes it through the family's ``check_batch`` first.
 The categorical and Gaussian families depend on a batch only through a
 sufficient statistic (outcome counts, the sample sum). Each offers it as
 ``sufficient_stat(xs)`` and ``stat_sampler(theta)``; the latter draws the
-statistic of ``n`` samples directly, with the same distribution, so Monte
-Carlo trials need not draw the samples themselves.
+statistic of ``n`` samples directly, with the same distribution. Monte
+Carlo trials draw only these statistics, so softmax regression has no
+Monte Carlo estimate.
 """
 
 import numpy as np

@@ -5,7 +5,9 @@
    split into their sampling-variance and domain-shift terms.
 3. ``mc_expected_kl``: seeded Monte Carlo over repeated estimation trials,
    the oracle everything else is checked against. Its trials, like those
-   of every other Monte Carlo check, run serially in ``mc_fits``; the
+   of every other Monte Carlo check, run serially in ``mc_fits``, each
+   drawing sufficient statistics and fitting them in closed form, so only
+   the categorical and Gaussian families have Monte Carlo estimates; the
    stacked fits of an estimate are then measured in one call,
    ``mc_divergences``.
 
@@ -20,8 +22,7 @@ import numpy as np
 from .errors import ParameterError, UnsupportedFamilyError
 from .fisher import analytic_fisher
 from .rng import derive_rng
-from .weighted_mle import (SourceBlock, WeightedDataset, fit_sufficient,
-                           fit_weighted_mle)
+from .weighted_mle import fit_sufficient, has_sufficient_stat
 
 __all__ = [
     "KlPrediction",
@@ -127,26 +128,17 @@ def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
 def _trial_fit(family, target_params, n_target, sources):
     """One trial's estimate as a function of the trial's stream.
 
-    A family with a sufficient statistic draws the target's and each
-    source's statistic directly and fits it in closed form; its
-    parameters are checked once, here. Any other family draws the samples
-    and fits the weighted MLE from them. Either way every source is drawn,
-    in order, whatever its weight.
+    The trial draws the target's and then each source's sufficient
+    statistic directly, every source whatever its weight, and fits them in
+    closed form; the parameters are checked once, here.
     """
-    if hasattr(family, "stat_sampler"):
-        target = family.stat_sampler(target_params)
-        draws = [(family.stat_sampler(p), n, w) for p, n, w in sources]
+    target = family.stat_sampler(target_params)
+    draws = [(family.stat_sampler(p), n, w) for p, n, w in sources]
 
-        def fit(rng):
-            stats = [(target(n_target, rng), n_target, 1.0)]
-            stats += [(draw(n, rng), n, w) for draw, n, w in draws]
-            return fit_sufficient(family, stats)
-    else:
-        def fit(rng):
-            data = family.sample(target_params, n_target, rng)
-            blocks = [SourceBlock(family.sample(p, n, rng), w)
-                      for p, n, w in sources]
-            return fit_weighted_mle(family, WeightedDataset(data, blocks))
+    def fit(rng):
+        stats = [(target(n_target, rng), n_target, 1.0)]
+        stats += [(draw(n, rng), n, w) for draw, n, w in draws]
+        return fit_sufficient(family, stats)
     return fit
 
 
@@ -162,18 +154,23 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     """Repeated seeded estimation, the trial loop of every Monte Carlo check.
 
     Trial i derives its stream from (master_seed, *seed_prefix, i), draws
-    the target's ``n_target`` observations and then, for each ``(params,
-    quantity, weight)`` in ``sources``, that source's, and fits the
-    weighted MLE. A categorical or Gaussian trial draws only the
-    sufficient statistic of each dataset (outcome counts, sample sum),
-    which has the distribution of the statistic of drawn samples. Trials
-    run one after another. Returns the fits stacked as one ``(trials,
-    dim)`` array; whatever measures them (``mc_divergences``) takes the
-    whole stack in one call.
+    the sufficient statistic (outcome counts, sample sum) of the target's
+    ``n_target`` observations and then, for each ``(params, quantity,
+    weight)`` in ``sources``, that source's, and fits the weighted MLE in
+    closed form. The drawn statistic has the distribution of the statistic
+    of drawn samples. Trials run one after another. Returns the fits
+    stacked as one ``(trials, dim)`` array; whatever measures them
+    (``mc_divergences``) takes the whole stack in one call.
 
-    A failing trial re-raises its own exception, with the trial index in a
-    ``trial`` attribute and a ``trial i:`` prefix on the message.
+    A family without a sufficient statistic (``softmax_regression``) is
+    rejected with UnsupportedFamilyError before any trial runs. A failing
+    trial re-raises its own exception, with the trial index in a ``trial``
+    attribute and a ``trial i:`` prefix on the message.
     """
+    if not has_sufficient_stat(family):
+        raise UnsupportedFamilyError(
+            f"no sufficient statistic for family '{family.name}' to draw "
+            "Monte Carlo trials from")
     n_target = int(n_target)
     sources = [(p, int(n), float(w)) for p, n, w in sources]
     fit = _trial_fit(family, target_params, n_target, sources)
@@ -213,8 +210,8 @@ def mc_expected_kl(family, ensemble, plan, trials, master_seed,
     then checked, and their divergences from the true target distribution
     taken, in one call (``mc_divergences``).
 
-    A family without a closed-form divergence is rejected before any
-    trial runs.
+    A family without a closed-form divergence or a sufficient statistic
+    is rejected before any trial runs.
     """
     trials = int(trials)
     if trials < 2:

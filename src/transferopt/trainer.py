@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ParameterError, TransferOptError
 from .fisher import projected_gram
 from .planner import build_qp_matrix, optimal_plan
-from .weighted_mle import FitOptions, WeightedDataset, fit_weighted_mle
+from .weighted_mle import WeightedDataset, fit_weighted_mle
 
 __all__ = [
     "TrainConfig",
@@ -163,8 +163,7 @@ def holdout_metrics(family, theta, holdout_data):
 
 def pretrain_params(family, samples, ridge=0.0):
     """Fit one source model on its full dataset, as plan input."""
-    opts = FitOptions(ridge=ridge) if ridge else None
-    return fit_weighted_mle(family, WeightedDataset(samples, []), opts)
+    return fit_weighted_mle(family, WeightedDataset(samples, []), ridge)
 
 
 def _replan(family, theta, target_data, source_params, budgets, n_target, d):

@@ -2,10 +2,10 @@
 
 The estimator maximizes the target log likelihood plus each source block's
 log likelihood multiplied by that block's nonnegative weight. Categorical
-and Gaussian families have closed forms (weighted counts and weighted
-means), which ``fit_sufficient`` takes from the blocks' sufficient
-statistics; everything else is solved by damped Newton ascent, with a
-gradient fallback for very high dimension.
+and Gaussian families have a sufficient statistic and closed forms
+(weighted counts and weighted means), which ``fit_sufficient`` takes from
+the blocks' statistics; every other fit, and every ridge-penalized one, is
+solved by damped Newton ascent.
 """
 
 from dataclasses import dataclass, field
@@ -18,17 +18,17 @@ from .families import Categorical, GaussianIso, INTERIOR_FLOOR
 __all__ = [
     "SourceBlock",
     "WeightedDataset",
-    "FitOptions",
     "MixtureDistribution",
     "fit_weighted_mle",
     "fit_sufficient",
-    "weighted_loglik",
+    "has_sufficient_stat",
     "weighted_loglik_grad",
     "mixture_view",
 ]
 
-# Newton is practical up to this dimension; beyond it use gradient ascent.
-NEWTON_DIM_LIMIT = 200
+# Newton stops once the gradient norm is at most NEWTON_TOL
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 10000
 
 
 @dataclass
@@ -39,8 +39,8 @@ class SourceBlock:
     weight: float
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("source weights must be nonnegative")
+        if not 0.0 <= self.weight < np.inf:
+            raise ValueError("source weights must be finite and nonnegative")
 
 
 @dataclass
@@ -59,15 +59,6 @@ class WeightedDataset:
 
 
 @dataclass
-class FitOptions:
-    tolerance: float = 1e-10
-    max_iter: int = 10000
-    ridge: float = 0.0
-    method: str = "auto"  # auto | closed_form | newton | gradient
-    init: object = None
-
-
-@dataclass
 class MixtureDistribution:
     """Convex mixture of the target and source empirical distributions."""
 
@@ -81,18 +72,14 @@ def _active_blocks(data):
     return [b for b in data.source_blocks if b.weight > 0.0]
 
 
-def weighted_loglik(family, theta, data, ridge=0.0):
-    """Weighted log likelihood, optionally with a ridge penalty subtracted."""
-    total = float(np.sum(family.log_density_batch(theta, data.target_samples)))
-    for b in _active_blocks(data):
-        total += b.weight * float(np.sum(family.log_density_batch(theta, b.samples)))
-    if ridge:
-        th = np.asarray(theta, dtype=float)
-        total -= ridge * float(th @ th)
-    return total
+def has_sufficient_stat(family):
+    """Whether ``family`` fits, and draws Monte Carlo trials, through a
+    sufficient statistic (``sufficient_stat`` and ``stat_sampler``)."""
+    return hasattr(family, "stat_sampler")
 
 
 def weighted_loglik_grad(family, theta, data, ridge=0.0):
+    """Gradient of the weighted log likelihood minus ``ridge * |theta|^2``."""
     g = family.score_batch(theta, data.target_samples).sum(axis=0)
     for b in _active_blocks(data):
         g = g + b.weight * family.score_batch(theta, b.samples).sum(axis=0)
@@ -135,19 +122,22 @@ def _closed_form_gaussian(total, mass):
     return total / mass
 
 
-def _newton(family, data, opts):
-    theta = (np.zeros(family.dim) if opts.init is None
-             else np.asarray(opts.init, dtype=float).copy())
-    g = weighted_loglik_grad(family, theta, data, opts.ridge)
-    for it in range(opts.max_iter):
+def _newton(family, data, ridge):
+    if isinstance(family, Categorical):
+        # start strictly inside the simplex
+        theta = np.full(family.dim, 1.0 / family.num_outcomes)
+    else:
+        theta = np.zeros(family.dim)
+    g = weighted_loglik_grad(family, theta, data, ridge)
+    for _ in range(NEWTON_MAX_ITER):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= opts.tolerance:
+        if gnorm <= NEWTON_TOL:
             return theta
         h = family.loglik_hessian(theta, data.target_samples)
         for b in _active_blocks(data):
             h = h + b.weight * family.loglik_hessian(theta, b.samples)
-        if opts.ridge:
-            h = h - 2.0 * opts.ridge * np.eye(family.dim)
+        if ridge:
+            h = h - 2.0 * ridge * np.eye(family.dim)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
@@ -158,7 +148,7 @@ def _newton(family, data, opts):
             cand = theta + scale * step
             try:
                 family.validate(cand)
-                gc = weighted_loglik_grad(family, cand, data, opts.ridge)
+                gc = weighted_loglik_grad(family, cand, data, ridge)
             except Exception:
                 scale *= 0.5
                 continue
@@ -171,86 +161,28 @@ def _newton(family, data, opts):
                 "newton line search stalled", last_iterate=theta, residual=gnorm
             )
     raise ConvergenceError(
-        f"no convergence after {opts.max_iter} newton iterations",
+        f"no convergence after {NEWTON_MAX_ITER} newton iterations",
         last_iterate=theta,
         residual=float(np.linalg.norm(g)),
     )
 
 
-def _gradient_ascent(family, data, opts):
-    theta = (np.zeros(family.dim) if opts.init is None
-             else np.asarray(opts.init, dtype=float).copy())
-    step = 1.0
-    g = weighted_loglik_grad(family, theta, data, opts.ridge)
-    f = weighted_loglik(family, theta, data, opts.ridge)
-    for it in range(opts.max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= opts.tolerance:
-            return theta
-        while step > 1e-18:
-            cand = theta + step * g
-            try:
-                family.validate(cand)
-                fc = weighted_loglik(family, cand, data, opts.ridge)
-            except Exception:
-                step *= 0.5
-                continue
-            if fc > f:
-                theta, f = cand, fc
-                g = weighted_loglik_grad(family, theta, data, opts.ridge)
-                step *= 1.3
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(
-                "gradient step underflow", last_iterate=theta, residual=gnorm
-            )
-    raise ConvergenceError(
-        f"no convergence after {opts.max_iter} gradient iterations",
-        last_iterate=theta,
-        residual=float(np.linalg.norm(g)),
-    )
+def fit_weighted_mle(family, data, ridge=0.0):
+    """Maximize the weighted log likelihood minus ``ridge * |theta|^2``.
 
-
-def fit_weighted_mle(family, data, opts=None):
-    """Maximize the weighted log likelihood.
-
-    Closed forms are used for categorical (weighted outcome counts) and
-    Gaussian (weighted means) unless another method is forced. The
-    iterative paths drive the gradient norm below ``opts.tolerance``.
+    A family with a sufficient statistic (categorical: weighted outcome
+    counts; Gaussian: weighted means) is fitted in closed form when
+    ``ridge`` is 0. Every other fit is damped Newton ascent, which drives
+    the gradient norm to at most ``NEWTON_TOL``.
     """
-    opts = opts or FitOptions()
     data.counts(family)  # validates the target is nonempty
-    method = opts.method
-    if method == "auto":
-        if isinstance(family, (Categorical, GaussianIso)) and not opts.ridge:
-            method = "closed_form"
-        elif family.dim <= NEWTON_DIM_LIMIT:
-            method = "newton"
-        else:
-            method = "gradient"
-    if method == "closed_form":
-        if not isinstance(family, (Categorical, GaussianIso)):
-            raise UnsupportedFamilyError(
-                f"no closed form for family '{family.name}'"
-            )
+    if has_sufficient_stat(family) and not ridge:
         blocks = [(data.target_samples, 1.0)] + [
             (b.samples, b.weight) for b in _active_blocks(data)]
         return fit_sufficient(family, [
             (family.sufficient_stat(xs), family.n_samples(xs), w)
             for xs, w in blocks])
-    if method == "newton":
-        if isinstance(family, Categorical) and opts.init is None:
-            # start strictly inside the simplex
-            opts = FitOptions(opts.tolerance, opts.max_iter, opts.ridge,
-                              "newton", np.full(family.dim, 1.0 / family.num_outcomes))
-        return _newton(family, data, opts)
-    if method == "gradient":
-        if isinstance(family, Categorical) and opts.init is None:
-            opts = FitOptions(opts.tolerance, opts.max_iter, opts.ridge,
-                              "gradient", np.full(family.dim, 1.0 / family.num_outcomes))
-        return _gradient_ascent(family, data, opts)
-    raise ValueError(f"unknown fit method '{method}'")
+    return _newton(family, data, ridge)
 
 
 def mixture_view(family, data):

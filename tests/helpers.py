@@ -2,8 +2,9 @@
 
 Everything here is written from the closed forms directly, without calling
 into the package, so a transcription slip in the library cannot hide. The
-one exception, ``sampled_fits``, runs the package's per-sample path as the
-oracle for its sufficient-statistic draws. Keep these dumb and obvious.
+exceptions: ``sampled_fits`` runs the package's per-sample path as the
+oracle for its sufficient-statistic draws, and ``weighted_loglik_oracle``
+sums a family's own per-sample log densities. Keep these dumb and obvious.
 """
 
 import itertools
@@ -75,6 +76,16 @@ def fd_gradient(f, x, h=1e-5):
         e[j] = h
         g[j] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+def weighted_loglik_oracle(family, theta, data, ridge=0.0):
+    """Weighted log likelihood minus ``ridge * |theta|^2``, summed from the
+    family's per-sample log densities block by block."""
+    th = np.asarray(theta, dtype=float)
+    total = np.sum(family.log_density_batch(th, data.target_samples))
+    for b in data.source_blocks:
+        total += b.weight * np.sum(family.log_density_batch(th, b.samples))
+    return float(total - ridge * (th @ th))
 
 
 def softmax_hessian_oracle(feature_dim, num_classes, theta, zs):

@@ -288,7 +288,10 @@ def test_seed_and_threads_option_bounds(tmp_path, capsys):
     assert rc == 2 and "64-bit" in err
     rc, _, err = run(["weights", "--config", path, "--out", str(tmp_path),
                       "--threads", "-2"], capsys)
-    assert rc == 2 and "threads" in err
+    assert rc == 2 and "threads must be nonnegative" in err
+    rc, _, _ = run(["weights", "--config", path, "--out", str(tmp_path),
+                    "--threads", "0"], capsys)
+    assert rc == 0
 
 
 # ------------------------------------------------------------- exit 3 / 4
@@ -364,6 +367,29 @@ def test_simulate_rejects_family_without_divergence_before_sampling(
     assert err.startswith("config error: no closed-form divergence for "
                           "family 'softmax_regression'")
     assert "trial" not in err
+    assert sampled == []
+
+
+def test_estimator_mean_rejects_family_without_sufficient_stat_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    cfg = _check("estimator-mean", {
+        "family": {"name": "softmax_regression",
+                   "params": {"feature_dim": 2, "num_classes": 2}},
+        "target_params": [0.3, 0.4, -0.2, 0.1],
+        "n_target": 50,
+        "sources": [{"params": [0.2, 0.5, -0.1, 0.0], "budget": 40}],
+        "weights": [0.5],
+        "trials": 10,
+    })
+    sampled = []
+    monkeypatch.setattr(SoftmaxRegression, "sample",
+                        lambda *args: sampled.append(args))
+    rc, _, err = run(["verify", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert err.startswith("config error: no sufficient statistic for "
+                          "family 'softmax_regression'")
+    assert "trial 0" not in err
     assert sampled == []
 
 
@@ -725,6 +751,23 @@ def test_report_is_strict_json(tmp_path, capsys):
     trace = json.loads(text, parse_constant=reject)["results"]["trace"]
     assert trace["final_holdout_nll"] is None
     assert trace["final_holdout_acc"] is None
+
+
+def test_train_softmax_above_dimension_200(tmp_path, capsys):
+    # d = 25 * 9 = 225: pretraining the source is a Newton fit this wide
+    params = [0.1 * (i % 7 - 3) for i in range(225)]
+    cfg = dict(_TRAIN,
+               family={"name": "softmax_regression",
+                       "params": {"feature_dim": 25, "num_classes": 9}},
+               target={"params": params, "n": 100},
+               sources=[{"params": params, "n": 400}],
+               train=dict(_TRAIN["train"], ridge=1e-6),
+               pretrain_ridge=1e-6)
+    rc, _, err = run(["train", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path)], capsys)
+    assert rc == 0, err
+    trace = load_json(tmp_path / "report.json")["results"]["trace"]
+    assert trace["epochs_run"] == 1
 
 
 def test_bundled_two_source_training_ranks_sources(tmp_path, capsys):

@@ -293,12 +293,11 @@ def test_replan_failure_reraises_the_same_exception(monkeypatch, make_error):
 
 
 def test_pretrain_matches_direct_fit():
-    from transferopt import FitOptions, WeightedDataset, fit_weighted_mle
+    from transferopt import WeightedDataset, fit_weighted_mle
 
     data = FAM.sample(TH_TRUE, 300, derive_rng(14, 0))
     got = pretrain_params(FAM, data, ridge=1e-6)
-    want = fit_weighted_mle(FAM, WeightedDataset(data, []),
-                            FitOptions(ridge=1e-6))
+    want = fit_weighted_mle(FAM, WeightedDataset(data, []), ridge=1e-6)
     assert np.array_equal(got, want)
 
 

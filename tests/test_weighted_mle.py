@@ -6,17 +6,18 @@ import pytest
 
 from transferopt import (
     ConvergenceError,
-    FitOptions,
     SourceBlock,
     UnsupportedFamilyError,
     WeightedDataset,
     fit_weighted_mle,
     mixture_view,
 )
+from transferopt import weighted_mle
+from transferopt.families import SoftmaxRegression
 from transferopt.rng import derive_rng
-from transferopt.weighted_mle import weighted_loglik, weighted_loglik_grad
+from transferopt.weighted_mle import weighted_loglik_grad
 
-from helpers import fd_gradient
+from helpers import fd_gradient, weighted_loglik_oracle
 
 
 def test_binary_half_weight_counts(cat2):
@@ -60,14 +61,14 @@ def test_newton_agrees_with_closed_form(cat3, gauss3, rng):
     src = cat3.sample(np.array([0.5, 0.2]), 80, 9)
     data = WeightedDataset(xs, [SourceBlock(src, 0.6)])
     closed = fit_weighted_mle(cat3, data)
-    newton = fit_weighted_mle(cat3, data, FitOptions(method="newton"))
+    newton = weighted_mle._newton(cat3, data, 0.0)
     assert np.linalg.norm(closed - newton) <= 1e-8
 
     ys = gauss3.sample(np.array([0.2, -0.4, 1.0]), 25, 10)
     src_g = gauss3.sample(np.array([1.2, 0.1, 0.0]), 40, 11)
     data_g = WeightedDataset(ys, [SourceBlock(src_g, 1.3)])
     closed_g = fit_weighted_mle(gauss3, data_g)
-    newton_g = fit_weighted_mle(gauss3, data_g, FitOptions(method="newton"))
+    newton_g = weighted_mle._newton(gauss3, data_g, 0.0)
     assert np.linalg.norm(closed_g - newton_g) <= 1e-8
 
 
@@ -160,11 +161,11 @@ def test_fit_agrees_with_mixture_probabilities(cat3):
     assert np.max(np.abs(theta - view.outcome_probs[:-1])) <= 1e-12
 
 
-def test_convergence_failure_carries_state(softmax23, rng):
+def test_convergence_failure_carries_state(softmax23, rng, monkeypatch):
     data = WeightedDataset(softmax23.sample(rng.standard_normal(6), 40, 2), [])
-    opts = FitOptions(tolerance=1e-14, max_iter=2, method="gradient")
+    monkeypatch.setattr(weighted_mle, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as exc:
-        fit_weighted_mle(softmax23, data, opts)
+        fit_weighted_mle(softmax23, data)
     err = exc.value
     assert err.last_iterate is not None and err.last_iterate.shape == (6,)
     assert err.residual > 0
@@ -176,13 +177,25 @@ def test_loglik_gradient_matches_finite_differences(softmax23, rng):
         softmax23.sample(theta, 15, 3),
         [SourceBlock(softmax23.sample(theta + 0.2, 10, 4), 0.9)])
     g = weighted_loglik_grad(softmax23, theta, data, ridge=0.05)
-    fd = fd_gradient(lambda th: weighted_loglik(softmax23, th, data, ridge=0.05),
-                     theta)
+    fd = fd_gradient(
+        lambda th: weighted_loglik_oracle(softmax23, th, data, ridge=0.05),
+        theta)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
 def test_empty_target_rejected(cat3):
     with pytest.raises(ValueError):
         fit_weighted_mle(cat3, WeightedDataset(np.array([], dtype=int), []))
-    with pytest.raises(ValueError):
-        SourceBlock(np.array([0]), -0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SourceBlock(np.array([0]), bad)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+def test_softmax_fit_above_dimension_200_converges(ridge):
+    # d = 225: every fit without a closed form is Newton, at any dimension
+    family = SoftmaxRegression(25, 9)
+    theta = 0.1 * derive_rng(31, 0).standard_normal(family.dim)
+    data = WeightedDataset(family.sample(theta, 600, derive_rng(31, 1)), [])
+    fit = fit_weighted_mle(family, data, ridge)
+    assert np.linalg.norm(weighted_loglik_grad(family, fit, data, ridge)) <= 1e-10
