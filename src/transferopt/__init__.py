@@ -27,12 +27,10 @@ from .planner import (  # noqa: F401
     solve_simplex_qp,
 )
 from .harness import (  # noqa: F401
-    PlanView,
     SweepResult,
     TaskEnsemble,
     brute_force_simplex,
     build_ensemble,
-    generate_ensemble,
     sweep_quantity,
     sweep_weight,
     verify_claim,

@@ -30,15 +30,16 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .harness import (
-    PlanView,
     config_ensemble,
     config_family,
+    config_params,
     sweep_quantity,
     sweep_weight,
     verify_claim,
 )
 from .kl import mc_expected_kl
-from .planner import build_qp_matrix, optimal_plan, plan_from_parameters
+from .planner import (build_qp_matrix, optimal_plan, plan_from_parameters,
+                      symmetric_psd)
 from .reporting import Report, write_csv, write_json
 from .rng import derive_rng
 from .trainer import TrainConfig, pretrain_params, train_multi_source, train_multi_task
@@ -116,6 +117,10 @@ def _cmd_weights(config, seed):
         if len(budgets) != len(directions):
             raise ConfigError("need one budget per direction",
                               field="/budgets")
+        try:
+            symmetric_psd(fisher, "fisher_matrix")
+        except ValueError as err:
+            raise ConfigError(str(err), field="/fisher_matrix") from err
         qp = build_qp_matrix(directions.T, fisher, budgets, d)
         plan = optimal_plan(qp, n_target=int(config["n_target"]))
         results = {"mode": "explicit", "plan": plan.to_json_dict()}
@@ -168,9 +173,10 @@ def _cmd_simulate(config, seed):
         weights = np.asarray(spec, dtype=float)
         if weights.shape != (ens.k,):
             raise ConfigError("need one weight per source", field="/weights")
-        plan = PlanView(weights, ens.source_budgets)
         plan_dict = None
-    est = mc_expected_kl(family, ens, plan, int(config["trials"]), seed)
+    # every plan's quantities are the full budgets
+    est = mc_expected_kl(ens, weights, ens.source_budgets,
+                         int(config["trials"]), seed)
     results = {
         "ensemble": ens.to_json_dict(),
         "weights": [float(w) for w in weights],
@@ -232,17 +238,17 @@ def _trace_csv(name, trace):
 
 def _cmd_train(config, seed):
     family = config_family(config)
-    cfg = TrainConfig(seed=seed, **config["train"])
+    cfg = TrainConfig(**config["train"])
     holdout_n = int(config["holdout_n"])
     if config["mode"] == "multi_source":
         tgt = config["target"]
-        tp = family.validate(np.asarray(tgt["params"], dtype=float))
+        tp = config_params(family, tgt["params"], "/target/params")
         target_data = family.sample(tp, int(tgt["n"]),
                                     derive_rng(seed, _TARGET_ROLE, 0))
         source_data = []
         pretrained = []
         for k, src in enumerate(config["sources"]):
-            sp = family.validate(np.asarray(src["params"], dtype=float))
+            sp = config_params(family, src["params"], f"/sources/{k}/params")
             data = family.sample(sp, int(src["n"]),
                                  derive_rng(seed, _SOURCE_ROLE, k))
             source_data.append(data)
@@ -262,7 +268,7 @@ def _cmd_train(config, seed):
     else:
         datasets, holdouts = [], []
         for k, task in enumerate(config["tasks"]):
-            tp = family.validate(np.asarray(task["params"], dtype=float))
+            tp = config_params(family, task["params"], f"/tasks/{k}/params")
             datasets.append(family.sample(tp, int(task["n"]),
                                           derive_rng(seed, _TASK_ROLE, k)))
             holdouts.append(

@@ -26,8 +26,7 @@ def analytic_fisher(family, theta):
     fn = getattr(family, "analytic_fisher_matrix", None)
     if fn is None:
         raise UnsupportedFamilyError(
-            f"family '{family.name}' has no analytic information matrix, "
-            "use empirical_fisher"
+            f"family '{family.name}' has no analytic information matrix"
         )
     m = fn(theta)
     return 0.5 * (m + m.T)

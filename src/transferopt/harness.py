@@ -8,7 +8,6 @@ that every verification verdict rests on. Everything here is a pure
 function of its config and master seed.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,8 @@ from .rng import derive_rng
 __all__ = [
     "TaskEnsemble",
     "SweepResult",
-    "PlanView",
-    "generate_ensemble",
     "build_ensemble",
+    "config_params",
     "config_family",
     "config_ensemble",
     "source_scalars",
@@ -46,9 +44,6 @@ _RANDOM_MC_STREAM = 1
 _RANDOM_DRAW_STREAM = 2
 
 _MAX_DIRECTION_DRAWS = 100
-
-# minimal stand-in carrying just what mc_expected_kl reads off a plan
-PlanView = namedtuple("PlanView", ["weights", "quantities"])
 
 
 @dataclass
@@ -187,35 +182,30 @@ def _draw_source_params(family, target_params, c, n_target, direction_seed,
     )
 
 
-def generate_ensemble(family, target_params, n_target, source_specs,
-                      master_seed):
-    """Place each source at distance c_i / sqrt(N0) from the target.
-
-    ``source_specs`` is a list of (c, budget, direction_seed) triples.
-    Directions are uniform on the sphere in the family's free-parameter
-    space; draws that land outside the valid region are retried a bounded
-    number of times.
-    """
-    sources = [{"c": c, "budget": n, "direction_seed": dseed}
-               for c, n, dseed in source_specs]
-    return build_ensemble(family, {"target_params": target_params,
-                                   "n_target": n_target,
-                                   "sources": sources}, master_seed)
+def config_params(family, values, field):
+    """A config's parameter vector, validated for ``family``; an invalid
+    one raises ConfigError naming ``field``."""
+    try:
+        return family.validate(np.asarray(values, dtype=float))
+    except ParameterError as err:
+        raise ConfigError(str(err), field=field) from err
 
 
 def build_ensemble(family, config, master_seed):
     """Ensemble from a config block.
 
     Each source entry carries a ``budget`` and either explicit ``params``
-    or a (``c``, ``direction_seed``) pair for a seeded placement.
+    or a (``c``, ``direction_seed``) pair, placing it at distance
+    c / sqrt(N0) in a seeded direction. An invalid explicit vector raises
+    ConfigError at ``/target_params`` or ``/sources/i/params``.
     """
-    th0 = family.validate(np.asarray(config["target_params"], dtype=float))
+    th0 = config_params(family, config["target_params"], "/target_params")
     n0 = int(config["n_target"])
     params, budgets = [], []
     for i, src in enumerate(config["sources"]):
         n = int(src["budget"])
         if "params" in src:
-            p = family.validate(np.asarray(src["params"], dtype=float))
+            p = config_params(family, src["params"], f"/sources/{i}/params")
         else:
             p = _draw_source_params(family, th0, float(src["c"]), n0,
                                     int(src.get("direction_seed", i)),
@@ -290,9 +280,8 @@ def _sweep(axis, ensemble, grid, gram, point, trials, seed):
     for i, value in enumerate(grid):
         wv, qv = point(value)
         preds[i] = _predict_under(ensemble.target_budget, wv, qv, gram, d).total
-        est = mc_expected_kl(ensemble.family, ensemble,
-                             PlanView(wv, qv.astype(int)),
-                             trials, seed, seed_prefix=(i,))
+        est = mc_expected_kl(ensemble, wv, qv, trials, seed,
+                             seed_prefix=(i,))
         means[i] = est.mean
         stderrs[i] = est.std_error
     return SweepResult(axis, grid, means, stderrs, preds,
@@ -364,7 +353,7 @@ def brute_force_simplex(m, step):
     clamped to the range, plus both endpoints). This keeps K=4 at step
     0.001 tractable while staying an exhaustive search.
     """
-    m = np.asarray(getattr(m, "m", m), dtype=float)
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     k = m.shape[0]
@@ -525,9 +514,8 @@ def _check_dimension_scaling(config, seed):
         th1 = np.full(d, np.sqrt(t))
         ens = TaskEnsemble(family, th0, n0, [th1], np.array([n1]))
         totals.append(predict_kl_single(n0, n1, w_star, t, d).total)
-        est = mc_expected_kl(family, ens, PlanView(np.array([w_star]),
-                                                   np.array([n1])),
-                             trials, seed, seed_prefix=(d,))
+        est = mc_expected_kl(ens, [w_star], [n1], trials, seed,
+                             seed_prefix=(d,))
         means.append(est.mean)
         stderrs.append(est.std_error)
         constants.append(float(ens.regime_constants[0]))
@@ -571,8 +559,8 @@ def _check_plan_beats_random(config, seed):
     budgets = ens.source_budgets.astype(float)
     qp = build_qp_matrix(None, gram, budgets, d)
     plan = optimal_plan(qp, n_target=ens.target_budget)
-    plan_est = mc_expected_kl(family, ens, plan, trials, seed,
-                              seed_prefix=(_PLAN_STREAM,))
+    plan_est = mc_expected_kl(ens, plan.weights, plan.quantities, trials,
+                              seed, seed_prefix=(_PLAN_STREAM,))
 
     rng = derive_rng(seed, _RANDOM_DRAW_STREAM)
     weight_draws = rng.uniform(0.0, weight_high, size=(n_random, ens.k))
@@ -588,8 +576,7 @@ def _check_plan_beats_random(config, seed):
     order = np.argsort(predictions)[:mc_top]
     top_means, top_ses = [], []
     for rank, j in enumerate(order):
-        est = mc_expected_kl(family, ens, PlanView(weight_draws[j],
-                                                   ens.source_budgets),
+        est = mc_expected_kl(ens, weight_draws[j], ens.source_budgets,
                              mc_trials, seed,
                              seed_prefix=(_RANDOM_MC_STREAM, rank))
         top_means.append(est.mean)
@@ -661,7 +648,7 @@ def _check_estimator_mean(config, seed):
 
 def _check_kl_mse_bridge(config, seed):
     family = config_family(config)
-    th0 = family.validate(np.asarray(config["target_params"], dtype=float))
+    th0 = config_params(family, config["target_params"], "/target_params")
     n0 = int(config["n_target"])
     trials = int(config["trials"])
     rel_tol = float(config["rel_tol"])

@@ -96,8 +96,9 @@ def predict_kl_single(n_target, n_source, weight, t, d):
 def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
     """Asymptotic measure for K weighted sources at full budget quantities.
 
-    The per-source masses are ``b_i = w_i N_i``; with ``s = sum b`` and
-    shares ``alpha = b/s`` the measure is
+    ``qp_matrix`` is the K x K array M. The per-source masses are
+    ``b_i = w_i N_i``; with ``s = sum b`` and shares ``alpha = b/s`` the
+    measure is
     ``(d/2) [ N0/(N0+s)^2 + s^2 (alpha^T M alpha)/(N0+s)^2 ]``.
     At ``s = 0`` the share vector is undefined, the bias term is set to 0
     (its coefficient vanishes there, so the function stays continuous).
@@ -111,7 +112,7 @@ def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
         raise ValueError("budgets and weights must be matching vectors")
     if np.any(nb < 1) or np.any(w < 0):
         raise ValueError("budgets must be >= 1 and weights nonnegative")
-    m = np.asarray(getattr(qp_matrix, "m", qp_matrix), dtype=float)
+    m = np.asarray(qp_matrix, dtype=float)
     b = w * nb
     s = float(b.sum())
     if s == 0.0:
@@ -200,26 +201,32 @@ def mc_divergences(family, theta_true, fits):
         raise
 
 
-def mc_expected_kl(family, ensemble, plan, trials, master_seed,
+def mc_expected_kl(ensemble, weights, quantities, trials, master_seed,
                    seed_prefix=()):
-    """Monte Carlo estimate of the expected divergence under a plan.
+    """Monte Carlo estimate of the expected divergence with ``weights[i]``
+    and ``quantities[i]`` for source i of ``ensemble``.
 
     Each trial draws a fresh target dataset and fresh source datasets of
-    the plan's quantities and fits the weighted MLE with the plan's
-    weights; the trials are those of ``mc_fits``. The stacked fits are
-    then checked, and their divergences from the true target distribution
-    taken, in one call (``mc_divergences``).
+    those quantities and fits the weighted MLE with those weights; the
+    trials are those of ``mc_fits``, in the ensemble's family. The stacked
+    fits are then checked, and their divergences from the true target
+    distribution taken, in one call (``mc_divergences``).
 
-    A family without a closed-form divergence or a sufficient statistic
-    is rejected before any trial runs.
+    Vectors without one entry per source raise ValueError, and a family
+    without a closed-form divergence or a sufficient statistic is
+    rejected, before any trial runs.
     """
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
+    if not np.shape(weights) == np.shape(quantities) == (ensemble.k,):
+        raise ValueError(f"need one weight and one quantity per source "
+                         f"({ensemble.k}), got {weights} and {quantities}")
+    family = ensemble.family
     _divergence(family)
     th0 = ensemble.target_params
     fits = mc_fits(family, th0, ensemble.target_budget,
-                   zip(ensemble.source_params, plan.quantities, plan.weights),
+                   zip(ensemble.source_params, quantities, weights),
                    trials, master_seed, seed_prefix)
     values = mc_divergences(family, th0, fits)
     mean = float(values.mean())

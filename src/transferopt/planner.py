@@ -34,10 +34,26 @@ __all__ = [
     "composed_quantity_objective",
     "composed_quantity_derivative",
     "project_to_simplex",
+    "symmetric_psd",
 ]
 
 # fixed internal stream for the power iteration start vector
 _POWER_SEED = 0x9E3779B9
+
+# simplex solver: iteration cap, Frank-Wolfe gap tolerance relative to tr M
+QP_MAX_ITER = 200000
+QP_GAP_RTOL = 1e-12
+
+
+def symmetric_psd(m, name):
+    """``m`` symmetrized, after checking that it is symmetric and positive
+    semi-definite to a qp matrix's tolerances; ValueError otherwise."""
+    if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError(f"{name} must be symmetric")
+    m = 0.5 * (m + m.T)
+    if np.linalg.eigvalsh(m)[0] < -1e-10 * max(float(np.trace(m)), 0.0):
+        raise ValueError(f"{name} must be positive semi-definite")
+    return m
 
 
 @dataclass
@@ -53,22 +69,13 @@ class QpMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("qp matrix must be square")
-        if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("qp matrix must be symmetric")
-        self.m = 0.5 * (m + m.T)
+        self.m = symmetric_psd(m, "qp matrix")
         self.budgets = np.asarray(self.budgets, dtype=float)
         if self.budgets.shape != (m.shape[0],):
             raise ValueError("need one budget per row of the qp matrix")
         bound = 1.0 / self.budgets
         if np.any(np.diag(self.m) < bound - 1e-9 * np.maximum(1.0, bound)):
             raise ValueError("qp diagonal fell below the sampling floor 1/N_i")
-        evs = np.linalg.eigvalsh(self.m)
-        if evs[0] < -1e-10 * max(float(np.trace(self.m)), 0.0):
-            raise ValueError("qp matrix must be positive semi-definite")
-
-    @property
-    def k(self):
-        return self.m.shape[0]
 
 
 @dataclass
@@ -77,10 +84,6 @@ class QpSolution:
     value: float
     iterations: int
     gap: float
-
-    def __iter__(self):
-        # unpackable as (alpha, t*); iterations and gap stay attributes
-        return iter((self.alpha, self.value))
 
 
 @dataclass
@@ -190,21 +193,22 @@ def project_to_simplex(v):
     return np.maximum(v - lam, 0.0)
 
 
-def solve_simplex_qp(m, max_iter=200000, gap_rtol=1e-12):
-    """Minimize alpha^T M alpha over the probability simplex.
+def solve_simplex_qp(m):
+    """Minimize alpha^T M alpha over the probability simplex, M an array.
 
     Accelerated projected gradient with a function-value restart. The step
     is 1/(2L) with L estimated by power iteration from a fixed internal
     stream; termination is on the Frank-Wolfe gap
-    ``grad . alpha - min_i grad_i <= gap_rtol * trace(M)``, a certificate
-    of global optimality for a convex objective on the simplex.
+    ``grad . alpha - min_i grad_i <= QP_GAP_RTOL * trace(M)``, a
+    certificate of global optimality for a convex objective on the
+    simplex. Past ``QP_MAX_ITER`` iterations it raises ConvergenceError.
     """
-    m = np.asarray(getattr(m, "m", m), dtype=float)
+    m = np.asarray(m, dtype=float)
     k = m.shape[0]
     if k == 1:
         return QpSolution(np.array([1.0]), float(m[0, 0]), 0, 0.0)
     trace = float(np.trace(m))
-    tol = gap_rtol * max(trace, 0.0)
+    tol = QP_GAP_RTOL * max(trace, 0.0)
 
     rng = derive_rng(_POWER_SEED)
     v = rng.standard_normal(k)
@@ -223,7 +227,7 @@ def solve_simplex_qp(m, max_iter=200000, gap_rtol=1e-12):
     tk = 1.0
     f_prev = float(alpha @ m @ alpha)
     gap = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, QP_MAX_ITER + 1):
         grad_y = 2.0 * (m @ y)
         a_new = project_to_simplex(y - step * grad_y)
         f_new = float(a_new @ m @ a_new)
@@ -241,35 +245,29 @@ def solve_simplex_qp(m, max_iter=200000, gap_rtol=1e-12):
         alpha = a_new
         f_prev = f_new
     raise ConvergenceError(
-        f"simplex qp did not reach tolerance in {max_iter} iterations",
+        f"simplex qp did not reach tolerance in {QP_MAX_ITER} iterations",
         last_iterate=alpha,
         residual=gap,
     )
 
 
-def optimal_plan(qp, budgets=None, n_target=None, d=None):
+def optimal_plan(qp, n_target):
     """Full pipeline: solve for the shares, then s* = 1/t*, then weights.
 
-    ``qp`` is a QpMatrix; budgets and d default to its provenance.
-    Quantities are always the full budgets.
+    ``qp`` is a QpMatrix (an array raises ValueError); the plan uses its
+    budgets and d, and quantities are always the full budgets. A solver
+    value t* <= 0, impossible for a valid QpMatrix, is a ConvergenceError.
     """
-    if isinstance(qp, QpMatrix):
-        budgets = qp.budgets if budgets is None else np.asarray(budgets, float)
-        d = qp.d if d is None else int(d)
-        m = qp.m
-    else:
-        m = np.asarray(qp, dtype=float)
-        budgets = np.asarray(budgets, dtype=float)
-    if n_target is None:
-        raise ValueError("n_target is required")
-    sol = solve_simplex_qp(m)
+    if not isinstance(qp, QpMatrix):
+        raise ValueError("optimal_plan needs a QpMatrix with provenance")
+    sol = solve_simplex_qp(qp.m)
     t_star = sol.value
     if t_star <= 0.0:
         raise ConvergenceError("qp value must be positive", residual=t_star)
     s_star = 1.0 / t_star
-    weights = s_star * sol.alpha / budgets
-    quantities = budgets.astype(int)
-    predicted = predict_kl_multi(n_target, budgets, weights, m, d)
+    weights = s_star * sol.alpha / qp.budgets
+    quantities = qp.budgets.astype(int)
+    predicted = predict_kl_multi(n_target, qp.budgets, weights, qp.m, qp.d)
     return TransferPlan(
         weights=weights,
         quantities=quantities,

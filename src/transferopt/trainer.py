@@ -12,6 +12,7 @@ unnormalized weighted likelihood this only rescales the gradient, so it is
 a learning-rate convention, not a different objective.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,6 @@ class TrainConfig:
     epochs: int
     weight_update_period: int = 1
     ridge: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -65,7 +65,7 @@ class TrainTrace:
 
     records: list = field(default_factory=list)
     final_theta: np.ndarray = None
-    stop_reason: str = ""
+    stop_reason: str = "epochs"
 
     def add(self, epoch, loss, weights, grad_norm, holdout_nll, holdout_acc):
         self.records.append({
@@ -173,6 +173,32 @@ def _replan(family, theta, target_data, source_params, budgets, n_target, d):
     return optimal_plan(qp, n_target=n_target).weights
 
 
+@contextmanager
+def _replan_failure(epoch, task=None):
+    """Tag a failing re-plan with its epoch (and task) in place, keeping
+    attributes such as ConvergenceError.residual and ConfigError.field."""
+    try:
+        yield
+    except TransferOptError as err:
+        where = "" if task is None else f" for task {task}"
+        err.epoch = epoch
+        err.args = (f"plan update failed{where} at epoch {epoch}: {err}",)
+        raise
+
+
+def _step(family, cfg, theta, target_data, source_data, weights, holdout,
+          trace, epoch, logged_weights):
+    """One gradient step, recorded in ``trace`` with ``logged_weights``;
+    returns the new iterate and the step's norm."""
+    loss = weighted_loss(family, theta, target_data, source_data, weights)
+    grad = weighted_loss_gradient(family, theta, target_data, source_data,
+                                  weights, ridge=cfg.ridge)
+    new_theta = theta - cfg.learning_rate * grad
+    nll, acc = holdout_metrics(family, new_theta, holdout)
+    trace.add(epoch, loss, logged_weights, np.linalg.norm(grad), nll, acc)
+    return new_theta, float(np.linalg.norm(new_theta - theta))
+
+
 def train_multi_source(family, target_data, source_data, source_params, cfg,
                        holdout_data=None):
     """Target training with dynamically re-planned source weights.
@@ -203,29 +229,16 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
     theta = np.zeros(d)
     weights = np.zeros(k)
     trace = TrainTrace()
-    trace.stop_reason = "epochs"
     for epoch in range(1, cfg.epochs + 1):
-        loss = weighted_loss(family, theta, target_data, source_data, weights)
-        grad = weighted_loss_gradient(family, theta, target_data, source_data,
-                                      weights, ridge=cfg.ridge)
-        new_theta = theta - cfg.learning_rate * grad
-        nll, acc = holdout_metrics(family, new_theta, holdout_data)
-        trace.add(epoch, loss, weights, np.linalg.norm(grad), nll, acc)
-        step_norm = float(np.linalg.norm(new_theta - theta))
-        theta = new_theta
+        theta, step_norm = _step(family, cfg, theta, target_data, source_data,
+                                 weights, holdout_data, trace, epoch, weights)
         if step_norm <= CONVERGENCE_NORM:
             trace.stop_reason = "converged"
             break
         if k > 0 and epoch < cfg.epochs and epoch % cfg.weight_update_period == 0:
-            try:
+            with _replan_failure(epoch):
                 weights = _replan(family, theta, target_data, source_params,
                                   budgets, n0, d)
-            except TransferOptError as err:
-                # tag the same object: rebuilding it would drop attributes
-                # such as ConvergenceError.residual and ConfigError.field
-                err.epoch = epoch
-                err.args = (f"plan update failed at epoch {epoch}: {err}",)
-                raise
     trace.final_theta = theta
     return trace
 
@@ -253,39 +266,25 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
     thetas = [np.zeros(d) for _ in range(k)]
     weight_rows = [np.zeros(k) for _ in range(k)]
     traces = [TrainTrace() for _ in range(k)]
-    for tr in traces:
-        tr.stop_reason = "epochs"
 
     for epoch in range(1, cfg.epochs + 1):
         all_small = True
         for task in range(k):
             others = [j for j in range(k) if j != task]
             src_data = [datasets[j] for j in others]
-            src_w = weight_rows[task][others]
-            loss = weighted_loss(family, thetas[task], datasets[task],
-                                 src_data, src_w)
-            grad = weighted_loss_gradient(family, thetas[task], datasets[task],
-                                          src_data, src_w, ridge=cfg.ridge)
-            new_theta = thetas[task] - cfg.learning_rate * grad
-            nll, acc = holdout_metrics(family, new_theta, holdouts[task])
-            traces[task].add(epoch, loss, weight_rows[task],
-                             np.linalg.norm(grad), nll, acc)
-            step_norm = float(np.linalg.norm(new_theta - thetas[task]))
-            thetas[task] = new_theta
+            thetas[task], step_norm = _step(
+                family, cfg, thetas[task], datasets[task], src_data,
+                weight_rows[task][others], holdouts[task], traces[task],
+                epoch, weight_rows[task])
             if step_norm > CONVERGENCE_NORM:
                 all_small = False
             if epoch < cfg.epochs and epoch % cfg.weight_update_period == 0:
-                try:
+                with _replan_failure(epoch, task):
                     planned = _replan(
                         family, thetas[task], datasets[task],
                         [thetas[j] for j in others],
                         np.array([counts[j] for j in others], dtype=float),
                         counts[task], d)
-                except TransferOptError as err:
-                    err.epoch = epoch
-                    err.args = (f"plan update failed for task {task} at "
-                                f"epoch {epoch}: {err}",)
-                    raise
                 row = np.zeros(k)
                 row[others] = planned
                 weight_rows[task] = row

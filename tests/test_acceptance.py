@@ -15,7 +15,6 @@ from transferopt.cli import main as cli_main
 from transferopt.families import get_family
 from transferopt.fisher import analytic_fisher, empirical_fisher, projected_gram
 from transferopt.harness import (
-    PlanView,
     brute_force_simplex,
     build_ensemble,
     source_scalars,
@@ -82,9 +81,7 @@ def test_criterion_02_asymptotic_fidelity_improves_with_target_size():
         t = float(source_scalars(ens)[0])
         w = single_source_weight(t, 2000)
         pred = predict_kl_single(n0, 2000, w, t, 2).total
-        est = mc_expected_kl(fam, ens, PlanView(np.array([w]),
-                                                np.array([2000])),
-                             2000, 31)
+        est = mc_expected_kl(ens, [w], [2000], 2000, 31)
         gap = abs(est.mean - pred)
         fidelity = gap <= 3.0 * est.std_error + 0.15 * pred
         rows.append((n0, pred, est, gap / pred, fidelity))
@@ -306,9 +303,8 @@ def test_criterion_11_dynamic_reweighting_learns_source_relevance():
     th_true = np.array([0.8, -0.4, 0.2, -0.6, 0.7, -0.3, -0.2, -0.3, 0.1])
     th_off = np.array([2.0, 0.5, -0.9, -1.4, 1.7, 0.4, -0.6, -2.2, 0.5])
 
-    def cfg(seed):
-        return TrainConfig(learning_rate=4.0, epochs=400,
-                           weight_update_period=1, ridge=1e-6, seed=seed)
+    cfg = TrainConfig(learning_rate=4.0, epochs=400, weight_update_period=1,
+                      ridge=1e-6)
 
     # one matching source, one far source: reweighted training must beat
     # the target-only baseline and rank the matching source higher
@@ -320,9 +316,9 @@ def test_criterion_11_dynamic_reweighting_learns_source_relevance():
                    fam.sample(th_off, 2000, derive_rng(seed, 2))]
         holdout = fam.sample(th_true, 2000, derive_rng(seed, 9))
         pre = [pretrain_params(fam, d, ridge=1e-6) for d in sources]
-        planned = train_multi_source(fam, target, sources, pre, cfg(seed),
+        planned = train_multi_source(fam, target, sources, pre, cfg,
                                      holdout_data=holdout)
-        baseline = train_multi_source(fam, target, [], [], cfg(seed),
+        baseline = train_multi_source(fam, target, [], [], cfg,
                                       holdout_data=holdout)
         imps.append(baseline.rows()[-1]["holdout_nll"]
                     - planned.rows()[-1]["holdout_nll"])
@@ -339,10 +335,10 @@ def test_criterion_11_dynamic_reweighting_learns_source_relevance():
                     for k in range(2)]
         holdouts = [fam.sample(th_true, 2000, derive_rng(seed, 9000 + k))
                     for k in range(2)]
-        traces = train_multi_task(fam, datasets, cfg(seed),
+        traces = train_multi_task(fam, datasets, cfg,
                                   holdouts=holdouts)
         for k in range(2):
-            base = train_multi_source(fam, datasets[k], [], [], cfg(seed),
+            base = train_multi_source(fam, datasets[k], [], [], cfg,
                                       holdout_data=holdouts[k])
             task_imps[k].append(base.rows()[-1]["holdout_nll"]
                                 - traces[k].rows()[-1]["holdout_nll"])

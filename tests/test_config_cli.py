@@ -179,6 +179,36 @@ _MALFORMED = {
     "nan-target-param": ("weights", dict(
         _ENSEMBLE_CFG, target_params=[0.3, math.nan]), "/target_params/1",
         ["nan", "finite"]),
+    "short-target-params": ("weights", dict(
+        _ENSEMBLE_CFG, target_params=[0.3]), "/target_params",
+        ["2 free probabilities"]),
+    "source-off-simplex": ("weights", dict(_ENSEMBLE_CFG, sources=[
+        _ENSEMBLE_CFG["sources"][0], {"params": [0.9, 0.3], "budget": 100}]),
+        "/sources/1/params", ["simplex"]),
+    "check-target-off-simplex": ("verify", _check(
+        "weight-optimum", dict(_GRID_CHECK, target_params=[0.7, 0.6])),
+        "/config/target_params", ["simplex"]),
+    "bridge-short-target-params": ("verify", _check(
+        "kl-mse-bridge", dict(_BRIDGE, target_params=[0.3])),
+        "/config/target_params", ["2 free probabilities"]),
+    "train-short-target": ("train", dict(
+        _TRAIN, target={"params": [0.1], "n": 30}), "/target/params",
+        ["length 2"]),
+    "train-long-source": ("train", dict(
+        _TRAIN, sources=[{"params": [0.3, 0.0, 0.1], "n": 60}]),
+        "/sources/0/params", ["length 2"]),
+    "train-short-task": ("train", dict(
+        _without(_without(_TRAIN, "target"), "sources"), mode="multi_task",
+        tasks=[{"params": [0.1, -0.2], "n": 30}, {"params": [0.3], "n": 30}]),
+        "/tasks/1/params", ["length 2"]),
+    "asymmetric-fisher-matrix": ("weights", dict(
+        load_json(CONFIGS / "weights_golden.json"),
+        fisher_matrix=[[1, 0.5], [0, 1]]), "/fisher_matrix", ["symmetric"]),
+    "indefinite-fisher-matrix": ("weights", dict(
+        load_json(CONFIGS / "weights_golden.json"),
+        fisher_matrix=[[1, 2], [2, 1]]), "/fisher_matrix", ["semi-definite"]),
+    "weight-sweep-rule": ("sweep", dict(_WEIGHT_SWEEP, rule=0.25), "/",
+                          ["rule"]),
 }
 
 
@@ -422,6 +452,23 @@ def test_bridge_rejects_family_without_closed_forms_before_sampling(
     assert err.startswith(f"config error: {missing}")
     assert "trial" not in err
     assert sampled == []
+
+
+def test_sweep_without_information_matrix_names_no_other_route(
+        tmp_path, capsys):
+    cfg = {
+        "family": {"name": "softmax_regression",
+                   "params": {"feature_dim": 2, "num_classes": 2}},
+        "target_params": [0.3, 0.4, -0.2, 0.1], "n_target": 50,
+        "sources": [{"params": [0.2, 0.4, -0.1, 0.1], "budget": 50}],
+        "axis": "weight", "grid": [0.0, 1.0], "trials": 10,
+    }
+    rc, _, err = run(["sweep", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert err.startswith("config error: family 'softmax_regression' has no "
+                          "analytic information matrix")
+    assert "empirical_fisher" not in err
 
 
 # --------------------------------------------------------- weights command

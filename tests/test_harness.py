@@ -10,7 +10,6 @@ from transferopt import (
     RegimeError,
     ScaleError,
     brute_force_simplex,
-    generate_ensemble,
     solve_simplex_qp,
     sweep_quantity,
     sweep_weight,
@@ -24,20 +23,25 @@ from helpers import naive_simplex_minimum, rand_psd
 
 
 def test_zero_distance_sources_sit_on_the_target(cat3):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 500,
-                            [(0.0, 100, 0), (0.0, 200, 1)], 9)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 500,
+        "sources": [{"c": 0.0, "budget": 100, "direction_seed": 0},
+                    {"c": 0.0, "budget": 200, "direction_seed": 1}],
+    }, 9)
     for p in ens.source_params:
         assert np.array_equal(p, ens.target_params)
     assert np.array_equal(ens.regime_constants, [0.0, 0.0])
 
 
 def test_ensembles_are_seed_reproducible(cat3):
-    specs = [(1.0, 300, 0), (2.5, 700, 1)]
-    a = generate_ensemble(cat3, np.array([0.3, 0.4]), 400, specs, 12)
-    b = generate_ensemble(cat3, np.array([0.3, 0.4]), 400, specs, 12)
+    cfg = {"target_params": [0.3, 0.4], "n_target": 400,
+           "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0},
+                       {"c": 2.5, "budget": 700, "direction_seed": 1}]}
+    a = build_ensemble(cat3, cfg, 12)
+    b = build_ensemble(cat3, cfg, 12)
     for pa, pb in zip(a.source_params, b.source_params):
         assert np.array_equal(pa, pb)
-    c = generate_ensemble(cat3, np.array([0.3, 0.4]), 400, specs, 13)
+    c = build_ensemble(cat3, cfg, 13)
     assert not np.array_equal(a.source_params[0], c.source_params[0])
 
 
@@ -45,7 +49,10 @@ def test_distance_constant_sets_the_radius(cat3, gauss3):
     # c = 2 at N0 = 400 puts the source at euclidean distance 0.1
     for fam, th0 in [(cat3, np.array([0.3, 0.4])),
                      (gauss3, np.array([0.5, -0.5, 1.0]))]:
-        ens = generate_ensemble(fam, th0, 400, [(2.0, 100, 3)], 21)
+        ens = build_ensemble(fam, {
+            "target_params": th0, "n_target": 400,
+            "sources": [{"c": 2.0, "budget": 100, "direction_seed": 3}],
+        }, 21)
         dist = np.linalg.norm(ens.source_params[0] - th0)
         assert abs(dist - 0.1) <= 1e-12
         assert abs(ens.regime_constants[0] - 2.0) <= 1e-10
@@ -60,7 +67,10 @@ def test_ensemble_rejects_inconsistent_record(cat3):
 def test_unreachable_distance_raises_regime_error(cat3):
     # radius 10 cannot stay inside the simplex
     with pytest.raises(RegimeError):
-        generate_ensemble(cat3, np.array([0.3, 0.4]), 100, [(100.0, 50, 0)], 5)
+        build_ensemble(cat3, {
+            "target_params": [0.3, 0.4], "n_target": 100,
+            "sources": [{"c": 100.0, "budget": 50, "direction_seed": 0}],
+        }, 5)
 
 
 def test_build_ensemble_accepts_explicit_params(cat3):
@@ -95,8 +105,10 @@ def test_resolve_grid_forms():
 
 
 def test_weight_sweep_at_zero_is_the_baseline(cat3):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 400,
-                            [(1.0, 500, 0)], 31)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 400,
+        "sources": [{"c": 1.0, "budget": 500, "direction_seed": 0}],
+    }, 31)
     res = sweep_weight(ens, 0, [0.0], 400, 31)
     d = cat3.dim
     assert res.predicted[0] == d / (2.0 * 400)
@@ -129,8 +141,10 @@ def test_quantity_sweep_baseline_and_pooling_ratio(gauss3):
 
 
 def test_quantity_sweep_monotone_under_optimal_rule(cat3):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 1000,
-                            [(1.0, 1000, 0)], 61)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 1000,
+        "sources": [{"c": 1.0, "budget": 1000, "direction_seed": 0}],
+    }, 61)
     grid = list(range(100, 1001, 100))
     res = sweep_quantity(ens, 0, grid, "optimal", 400, 61)
     assert np.all(np.diff(res.predicted) < 0)
@@ -140,7 +154,10 @@ def test_quantity_sweep_monotone_under_optimal_rule(cat3):
 
 
 def test_sweep_argument_errors(cat3):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 200, [(1.0, 300, 0)], 3)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 200,
+        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0}],
+    }, 3)
     with pytest.raises(ConfigError) as exc:
         sweep_weight(ens, 5, [0.0, 1.0], 10, 3)
     assert exc.value.field == "/source_index"
@@ -335,8 +352,11 @@ def test_bridge_check_passes():
 def test_source_scalars_match_the_fisher_geometry(cat3):
     from transferopt import analytic_fisher
 
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 400,
-                            [(1.0, 300, 0), (2.0, 500, 1)], 43)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 400,
+        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0},
+                    {"c": 2.0, "budget": 500, "direction_seed": 1}],
+    }, 43)
     j = analytic_fisher(cat3, ens.target_params)
     for i, p in enumerate(ens.source_params):
         u = p - ens.target_params

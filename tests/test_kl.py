@@ -19,7 +19,7 @@ import transferopt.kl
 import transferopt.weighted_mle
 from transferopt.errors import ConvergenceError, ParameterError
 from transferopt.families import Categorical
-from transferopt.harness import PlanView, TaskEnsemble, generate_ensemble, verify_claim
+from transferopt.harness import TaskEnsemble, build_ensemble, verify_claim
 from transferopt.kl import KlPrediction, mc_fits
 from transferopt.planner import composed_quantity_objective
 
@@ -116,9 +116,10 @@ def test_stacked_divergence_rejects_bad_rows(name, params, rng):
 def test_mc_bad_fit_reraises_as_its_trial(cat3, monkeypatch):
     """Every fit of an estimate is checked in one divergence call; a fit
     off the simplex still fails as its own trial."""
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 100,
-                            [(0.5, 100, 0)], 3)
-    plan = PlanView(np.array([0.5]), np.array([100]))
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 100,
+        "sources": [{"c": 0.5, "budget": 100, "direction_seed": 0}],
+    }, 3)
     calls = []
 
     def off_simplex_on_third_trial(counts):
@@ -128,7 +129,7 @@ def test_mc_bad_fit_reraises_as_its_trial(cat3, monkeypatch):
     monkeypatch.setattr("transferopt.weighted_mle._closed_form_categorical",
                         off_simplex_on_third_trial)
     with pytest.raises(ParameterError) as info:
-        mc_expected_kl(cat3, ens, plan, 5, 11)
+        mc_expected_kl(ens, [0.5], [100], 5, 11)
     assert info.value.trial == 2
     assert str(info.value).startswith("trial 2: probabilities must stay")
     assert len(calls) == 5
@@ -152,10 +153,11 @@ def test_mc_takes_every_divergence_of_an_estimate_in_one_call(cat3,
         counted("fit", transferopt.weighted_mle._closed_form_categorical))
     monkeypatch.setattr("transferopt.kl.derive_rng",
                         counted("rng", transferopt.kl.derive_rng))
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 100,
-                            [(0.5, 100, 0)], 3)
-    est = mc_expected_kl(cat3, ens, PlanView(np.array([0.5]), np.array([100])),
-                         37, 11)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 100,
+        "sources": [{"c": 0.5, "budget": 100, "direction_seed": 0}],
+    }, 3)
+    est = mc_expected_kl(ens, [0.5], [100], 37, 11)
     assert est.trials == 37
     assert counts == {"kl": 1, "fit": 37, "rng": 37}
 
@@ -250,8 +252,7 @@ def test_mc_matches_pooling_closed_form(gauss1):
     fam = gauss1
     th0 = np.array([0.7])
     ens = TaskEnsemble(fam, th0, 400, [th0.copy()], np.array([600]))
-    est = mc_expected_kl(fam, ens, PlanView(np.array([1.0]), np.array([600])),
-                         800, 99)
+    est = mc_expected_kl(ens, [1.0], [600], 800, 99)
     want = 1.0 / (2 * 1000)
     assert abs(est.mean - want) <= 3.0 * est.std_error
     assert est.trials == 800 and est.master_seed == 99
@@ -286,43 +287,68 @@ def test_statistic_draws_match_sampled_fits(name, params, target, sources):
 
 
 def test_mc_categorical_at_planned_weight(cat3):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 2000,
-                            [(2.0, 2000, 0)], 55)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 2000,
+        "sources": [{"c": 2.0, "budget": 2000, "direction_seed": 0}],
+    }, 55)
     t = None
     from transferopt.harness import source_scalars
     from transferopt.planner import single_source_weight
     t = float(source_scalars(ens)[0])
     w = single_source_weight(t, 2000)
-    est = mc_expected_kl(cat3, ens, PlanView(np.array([w]), np.array([2000])),
-                         800, 56)
+    est = mc_expected_kl(ens, [w], [2000], 800, 56)
     pred = predict_kl_single(2000, 2000, w, t, cat3.dim).total
     assert abs(est.mean - pred) <= 3.0 * est.std_error + 0.15 * pred
 
 
 def test_mc_is_deterministic_and_thread_invariant(cat3):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 150,
-                            [(1.0, 200, 0)], 7)
-    plan = PlanView(np.array([0.6]), np.array([200]))
-    a = mc_expected_kl(cat3, ens, plan, 2, 42)
-    b = mc_expected_kl(cat3, ens, plan, 2, 42)
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 150,
+        "sources": [{"c": 1.0, "budget": 200, "direction_seed": 0}],
+    }, 7)
+    a = mc_expected_kl(ens, [0.6], [200], 2, 42)
+    b = mc_expected_kl(ens, [0.6], [200], 2, 42)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
-    c = mc_expected_kl(cat3, ens, plan, 50, 42)
-    e = mc_expected_kl(cat3, ens, plan, 50, 43)
+    c = mc_expected_kl(ens, [0.6], [200], 50, 42)
+    e = mc_expected_kl(ens, [0.6], [200], 50, 43)
     assert e.mean != c.mean
     # the same trials under a different prefix form a different stream
-    f = mc_expected_kl(cat3, ens, plan, 50, 42, seed_prefix=(1,))
+    f = mc_expected_kl(ens, [0.6], [200], 50, 42, seed_prefix=(1,))
     assert f.mean != c.mean
 
 
 def test_mc_propagates_trial_failures(cat3):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 100,
-                            [(0.5, 100, 0)], 3)
-    bad = PlanView(np.array([0.5]), np.array([-5]))
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 100,
+        "sources": [{"c": 0.5, "budget": 100, "direction_seed": 0}],
+    }, 3)
     with pytest.raises(ValueError, match="trial 0"):
-        mc_expected_kl(cat3, ens, bad, 4, 11)
+        mc_expected_kl(ens, [0.5], [-5], 4, 11)
     with pytest.raises(ValueError):
-        mc_expected_kl(cat3, ens, PlanView(np.array([0.5]), np.array([100])),
-                       1, 11)  # a single trial has no standard error
+        mc_expected_kl(ens, [0.5], [100], 1, 11)  # no standard error
+
+
+@pytest.mark.parametrize("weights, quantities", [
+    ([0.5], [100, 200]),
+    ([0.5, 0.2, 0.9], [100, 200]),
+    ([0.5, 0.2], [100]),
+    ([0.5, 0.2], [100, 200, 300]),
+], ids=["one-weight", "three-weights", "one-quantity", "three-quantities"])
+def test_mc_needs_one_weight_and_quantity_per_source(cat3, monkeypatch,
+                                                     weights, quantities):
+    """zip would pair a short plan with the first sources and drop the
+    rest, or ignore a surplus entry; neither may reach a trial."""
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 100,
+        "sources": [{"c": 0.5, "budget": 100, "direction_seed": 0},
+                    {"c": 1.5, "budget": 200, "direction_seed": 1}],
+    }, 4)
+    trials = []
+    monkeypatch.setattr("transferopt.kl.mc_fits",
+                        lambda *args: trials.append(args))
+    with pytest.raises(ValueError, match="one weight and one quantity"):
+        mc_expected_kl(ens, weights, quantities, 20, 4)
+    assert trials == []
 
 
 class _TwoArgError(ValueError):
@@ -338,9 +364,10 @@ class _TwoArgError(ValueError):
 ], ids=["convergence-error", "two-argument-error"])
 def test_mc_trial_failure_reraises_the_same_exception(cat3, monkeypatch,
                                                       make_error):
-    ens = generate_ensemble(cat3, np.array([0.3, 0.4]), 100,
-                            [(0.5, 100, 0)], 3)
-    plan = PlanView(np.array([0.5]), np.array([100]))
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 100,
+        "sources": [{"c": 0.5, "budget": 100, "direction_seed": 0}],
+    }, 3)
     error = make_error()
     message = str(error)
     calls = []
@@ -354,7 +381,7 @@ def test_mc_trial_failure_reraises_the_same_exception(cat3, monkeypatch,
     monkeypatch.setattr("transferopt.weighted_mle._closed_form_categorical",
                         fit_fails_on_third_trial)
     with pytest.raises(type(error)) as info:
-        mc_expected_kl(cat3, ens, plan, 4, 11)
+        mc_expected_kl(ens, [0.5], [100], 4, 11)
     err = info.value
     assert err is error
     assert err.trial == 2

@@ -19,6 +19,7 @@ from transferopt import (
 from transferopt.harness import brute_force_simplex
 from transferopt.planner import (
     QpMatrix,
+    QpSolution,
     composed_quantity_derivative,
     composed_quantity_objective,
     project_to_simplex,
@@ -154,8 +155,8 @@ def test_project_to_simplex(rng):
 
 
 def test_solver_trivial_and_diagonal_cases():
-    alpha, value = solve_simplex_qp(np.array([[0.37]]))
-    assert np.array_equal(alpha, [1.0]) and value == 0.37
+    sol = solve_simplex_qp(np.array([[0.37]]))
+    assert np.array_equal(sol.alpha, [1.0]) and sol.value == 0.37
 
     sol = solve_simplex_qp(np.diag([1.0, 2.0]))
     assert np.max(np.abs(sol.alpha - [2 / 3, 1 / 3])) <= 1e-10
@@ -183,10 +184,11 @@ def test_solver_matches_brute_force(rng):
         assert sol.value >= grid_val - 1e-6
 
 
-def test_solver_reports_convergence_failure(rng):
+def test_solver_reports_convergence_failure(rng, monkeypatch):
     m = rand_psd(rng, 3)
+    monkeypatch.setattr("transferopt.planner.QP_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as exc:
-        solve_simplex_qp(m, max_iter=1)
+        solve_simplex_qp(m)
     err = exc.value
     assert err.last_iterate is not None
     assert abs(err.last_iterate.sum() - 1.0) <= 1e-10
@@ -325,12 +327,17 @@ def test_solver_scales_to_k64(rng):
     assert abs(sol.alpha.sum() - 1.0) <= 1e-10
 
 
-def test_optimal_plan_rejects_degenerate_value():
-    with pytest.raises(ConvergenceError):
-        optimal_plan(np.zeros((2, 2)), budgets=np.array([10.0, 10.0]),
-                     n_target=100, d=1)
-    with pytest.raises(ValueError):
-        optimal_plan(np.eye(2), budgets=np.array([10.0, 10.0]), d=1)
+def test_optimal_plan_rejects_degenerate_value(rng, monkeypatch):
+    # a bare array has no budgets or dimension to plan with
+    with pytest.raises(ValueError, match="QpMatrix"):
+        optimal_plan(np.zeros((2, 2)), n_target=100)
+    # a valid QpMatrix has t* >= min 1/N_i > 0, so t* <= 0 is a solver fault
+    monkeypatch.setattr(
+        "transferopt.planner.solve_simplex_qp",
+        lambda m: QpSolution(np.array([0.5, 0.5]), 0.0, 1, 0.0))
+    with pytest.raises(ConvergenceError) as exc:
+        optimal_plan(qp_from_gram(rng, 2), n_target=100)
+    assert exc.value.residual == 0.0
 
 
 def test_sub_budget_curve_is_monotone(rng):
