@@ -14,7 +14,7 @@ from .errors import (  # noqa: F401
     UnsupportedFamilyError,
 )
 from .families import Categorical, GaussianIso, SoftmaxRegression, get_family  # noqa: F401
-from .fisher import analytic_fisher, empirical_fisher, projected_gram  # noqa: F401
+from .fisher import analytic_fisher, projected_gram  # noqa: F401
 from .kl import kl_exact, mc_expected_kl, mse_kl_bridge, predict_kl_multi, predict_kl_single  # noqa: F401
 from .planner import (  # noqa: F401
     TransferPlan,
@@ -47,5 +47,4 @@ from .weighted_mle import (  # noqa: F401
     SourceBlock,
     WeightedDataset,
     fit_weighted_mle,
-    mixture_view,
 )

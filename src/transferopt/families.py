@@ -22,7 +22,9 @@ Three families are provided:
 Samples are represented as plain numpy data: an int array of outcomes for
 categorical, an ``(n, d)`` float array for the Gaussian, and a ``(Z, y)``
 pair for softmax regression. Every observation method takes a whole batch
-and passes it through the family's ``check_batch`` first.
+and passes it through the family's ``check_batch`` first;
+``loglik_and_score_sum`` gives a batch's summed log likelihood and score
+together, which is all a gradient step needs.
 
 The categorical and Gaussian families depend on a batch only through a
 sufficient statistic (outcome counts, the sample sum). Each offers it as
@@ -152,6 +154,11 @@ class Categorical:
         out[xs == self.dim, :] = -1.0 / p_last
         return out
 
+    def loglik_and_score_sum(self, theta, xs):
+        """Summed log likelihood and summed score of a batch."""
+        return (self.log_density_batch(theta, xs).sum(),
+                self.score_batch(theta, xs).sum(axis=0))
+
     # -- sampling ---------------------------------------------------------
 
     def sample(self, theta, n, rng):
@@ -279,6 +286,11 @@ class GaussianIso:
         th = self.validate(theta)
         return self.check_batch(xs) - th
 
+    def loglik_and_score_sum(self, theta, xs):
+        """Summed log likelihood and summed score of a batch."""
+        return (self.log_density_batch(theta, xs).sum(),
+                self.score_batch(theta, xs).sum(axis=0))
+
     def sample(self, theta, n, rng):
         if n < 0:
             raise ValueError("sample count must be nonnegative")
@@ -402,6 +414,17 @@ class SoftmaxRegression:
         Z, r = self._residuals(theta, xs)
         # score for sample i is outer(r_i, z_i) flattened
         return (r[:, :, None] * Z[:, None, :]).reshape(len(Z), self.dim)
+
+    def loglik_and_score_sum(self, theta, xs):
+        """Summed log likelihood and summed score of a batch from one
+        evaluation of the class probabilities; the score sum is the one
+        product ``(e_y - q)^T Z``."""
+        Z, y = self.check_batch(xs)
+        q = self.class_probs(theta, Z)
+        rows = np.arange(len(y))
+        r = -q
+        r[rows, y] += 1.0
+        return np.log(q[rows, y]).sum(), (r.T @ Z).reshape(self.dim)
 
     def score_project_batch(self, theta, xs, directions):
         """Per-sample scores projected onto direction columns, ``(n, K)``.

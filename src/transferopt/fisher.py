@@ -1,10 +1,10 @@
-"""Fisher information, analytic and empirical, plus the projected path.
+"""Fisher information: the analytic matrix, and the empirical one
+projected onto source directions.
 
-Every function returns a plain array. Dense d x d matrices are only built
-for moderate dimension. The planner never needs more than the K x K
-quadratic form of the information matrix against the source direction
-columns, so for large models only that projection is computed, one pass
-over the per-sample scores, never a d x d array.
+Every function returns a plain array. The planner never needs more than
+the K x K quadratic form of the information matrix against the source
+direction columns, so the empirical path computes only that projection,
+one pass over the per-sample scores, never a d x d array.
 """
 
 import numpy as np
@@ -12,13 +12,9 @@ import numpy as np
 from .errors import UnsupportedFamilyError
 
 __all__ = [
-    "DENSE_DIM_LIMIT",
     "analytic_fisher",
-    "empirical_fisher",
     "projected_gram",
 ]
-
-DENSE_DIM_LIMIT = 1024
 
 
 def analytic_fisher(family, theta):
@@ -29,25 +25,6 @@ def analytic_fisher(family, theta):
             f"family '{family.name}' has no analytic information matrix"
         )
     m = fn(theta)
-    return 0.5 * (m + m.T)
-
-
-def empirical_fisher(family, theta, samples):
-    """Average of per-sample score outer products at ``theta``.
-
-    Uses the realized observations, not model-resampled ones. Symmetric
-    PSD by construction.
-    """
-    n = family.n_samples(samples)
-    if n < 1:
-        raise ValueError("empirical information needs at least one sample")
-    if family.dim > DENSE_DIM_LIMIT:
-        raise ValueError(
-            f"dim {family.dim} exceeds the dense limit {DENSE_DIM_LIMIT}, "
-            "use projected_gram"
-        )
-    s = family.score_batch(theta, samples)
-    m = (s.T @ s) / n
     return 0.5 * (m + m.T)
 
 

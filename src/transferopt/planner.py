@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConvergenceError
 from .fisher import analytic_fisher
 from .kl import KlPrediction, predict_kl_multi, predict_kl_single
-from .rng import derive_rng
 
 __all__ = [
     "QpMatrix",
@@ -37,9 +36,6 @@ __all__ = [
     "symmetric_psd",
 ]
 
-# fixed internal stream for the power iteration start vector
-_POWER_SEED = 0x9E3779B9
-
 # simplex solver: iteration cap, Frank-Wolfe gap tolerance relative to tr M
 QP_MAX_ITER = 200000
 QP_GAP_RTOL = 1e-12
@@ -48,6 +44,8 @@ QP_GAP_RTOL = 1e-12
 def symmetric_psd(m, name):
     """``m`` symmetrized, after checking that it is symmetric and positive
     semi-definite to a qp matrix's tolerances; ValueError otherwise."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
     if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"{name} must be symmetric")
     m = 0.5 * (m + m.T)
@@ -197,30 +195,24 @@ def solve_simplex_qp(m):
     """Minimize alpha^T M alpha over the probability simplex, M an array.
 
     Accelerated projected gradient with a function-value restart. The step
-    is 1/(2L) with L estimated by power iteration from a fixed internal
-    stream; termination is on the Frank-Wolfe gap
-    ``grad . alpha - min_i grad_i <= QP_GAP_RTOL * trace(M)``, a
+    is 1/(2L) with L the largest eigenvalue of M, so plans are a
+    deterministic function of M alone; termination is on the Frank-Wolfe
+    gap ``grad . alpha - min_i grad_i <= QP_GAP_RTOL * trace(M)``, a
     certificate of global optimality for a convex objective on the
     simplex. Past ``QP_MAX_ITER`` iterations it raises ConvergenceError.
+    A non-square, empty or non-finite M raises ValueError.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"qp matrix must be square and nonempty, "
+                         f"got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("qp matrix must be finite")
     k = m.shape[0]
     if k == 1:
         return QpSolution(np.array([1.0]), float(m[0, 0]), 0, 0.0)
-    trace = float(np.trace(m))
-    tol = QP_GAP_RTOL * max(trace, 0.0)
-
-    rng = derive_rng(_POWER_SEED)
-    v = rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    for _ in range(200):
-        w = m @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-    lam_max = max(float(v @ m @ v) * 1.01, 1e-30)
-    step = 1.0 / (2.0 * lam_max)
+    tol = QP_GAP_RTOL * max(float(np.trace(m)), 0.0)
+    step = 1.0 / (2.0 * max(float(np.linalg.eigvalsh(m)[-1]), 1e-30))
 
     alpha = np.full(k, 1.0 / k)
     y = alpha.copy()

@@ -9,7 +9,9 @@ same loop round-robin, every task treating the others as its sources.
 
 The loss is normalized by the unweighted pooled sample count. Against the
 unnormalized weighted likelihood this only rescales the gradient, so it is
-a learning-rate convention, not a different objective.
+a learning-rate convention, not a different objective. A step takes the
+loss and its gradient together from one forward pass per data block
+(``loglik_and_score_sum``).
 """
 
 from contextlib import contextmanager
@@ -118,30 +120,41 @@ def _pool_count(family, target_data, source_data):
     return n
 
 
+def _loss_and_gradient(family, theta, target_data, source_data, weights,
+                       ridge):
+    """The pooled weighted loss and its gradient plus ``2*ridge*theta``,
+    from one ``loglik_and_score_sum`` call per data block."""
+    if family.n_samples(target_data) == 0:
+        raise ParameterError("target data must be nonempty")
+    loglik, score = family.loglik_and_score_sum(theta, target_data)
+    total = -float(loglik)
+    g = -score
+    for w, block in zip(weights, source_data):
+        loglik, score = family.loglik_and_score_sum(theta, block)
+        total -= float(w) * float(loglik)
+        g -= float(w) * score
+    n = _pool_count(family, target_data, source_data)
+    g /= n
+    if ridge:
+        g = g + 2.0 * float(ridge) * np.asarray(theta, dtype=float)
+    return total / n, g
+
+
 def weighted_loss(family, theta, target_data, source_data, weights):
     """Pooled negative log likelihood with per-source weights.
 
     Equals [sum of target losses + sum_k w_k * (sum of source-k losses)]
     divided by the unweighted pooled sample count.
     """
-    if family.n_samples(target_data) == 0:
-        raise ParameterError("target data must be nonempty")
-    total = -float(family.log_density_batch(theta, target_data).sum())
-    for w, block in zip(weights, source_data):
-        total -= float(w) * float(family.log_density_batch(theta, block).sum())
-    return total / _pool_count(family, target_data, source_data)
+    return _loss_and_gradient(family, theta, target_data, source_data,
+                              weights, 0.0)[0]
 
 
 def weighted_loss_gradient(family, theta, target_data, source_data, weights,
                            ridge=0.0):
     """Gradient of the pooled weighted loss, plus ``2*ridge*theta``."""
-    g = -family.score_batch(theta, target_data).sum(axis=0)
-    for w, block in zip(weights, source_data):
-        g -= float(w) * family.score_batch(theta, block).sum(axis=0)
-    g /= _pool_count(family, target_data, source_data)
-    if ridge:
-        g = g + 2.0 * float(ridge) * np.asarray(theta, dtype=float)
-    return g
+    return _loss_and_gradient(family, theta, target_data, source_data,
+                              weights, ridge)[1]
 
 
 def holdout_metrics(family, theta, holdout_data):
@@ -190,9 +203,8 @@ def _step(family, cfg, theta, target_data, source_data, weights, holdout,
           trace, epoch, logged_weights):
     """One gradient step, recorded in ``trace`` with ``logged_weights``;
     returns the new iterate and the step's norm."""
-    loss = weighted_loss(family, theta, target_data, source_data, weights)
-    grad = weighted_loss_gradient(family, theta, target_data, source_data,
-                                  weights, ridge=cfg.ridge)
+    loss, grad = _loss_and_gradient(family, theta, target_data, source_data,
+                                    weights, cfg.ridge)
     new_theta = theta - cfg.learning_rate * grad
     nll, acc = holdout_metrics(family, new_theta, holdout)
     trace.add(epoch, loss, logged_weights, np.linalg.norm(grad), nll, acc)

@@ -18,12 +18,10 @@ from .families import Categorical, GaussianIso, INTERIOR_FLOOR
 __all__ = [
     "SourceBlock",
     "WeightedDataset",
-    "MixtureDistribution",
     "fit_weighted_mle",
     "fit_sufficient",
     "has_sufficient_stat",
     "weighted_loglik_grad",
-    "mixture_view",
 ]
 
 # Newton stops once the gradient norm is at most NEWTON_TOL
@@ -49,21 +47,6 @@ class WeightedDataset:
 
     target_samples: object
     source_blocks: list = field(default_factory=list)
-
-    def counts(self, family):
-        n0 = family.n_samples(self.target_samples)
-        if n0 < 1:
-            raise ValueError("need at least one target sample")
-        ns = [family.n_samples(b.samples) for b in self.source_blocks]
-        return n0, ns
-
-
-@dataclass
-class MixtureDistribution:
-    """Convex mixture of the target and source empirical distributions."""
-
-    component_weights: np.ndarray
-    outcome_probs: np.ndarray
 
 
 def _active_blocks(data):
@@ -175,7 +158,8 @@ def fit_weighted_mle(family, data, ridge=0.0):
     ``ridge`` is 0. Every other fit is damped Newton ascent, which drives
     the gradient norm to at most ``NEWTON_TOL``.
     """
-    data.counts(family)  # validates the target is nonempty
+    if family.n_samples(data.target_samples) < 1:
+        raise ValueError("need at least one target sample")
     if has_sufficient_stat(family) and not ridge:
         blocks = [(data.target_samples, 1.0)] + [
             (b.samples, b.weight) for b in _active_blocks(data)]
@@ -183,25 +167,3 @@ def fit_weighted_mle(family, data, ridge=0.0):
             (family.sufficient_stat(xs), family.n_samples(xs), w)
             for xs, w in blocks])
     return _newton(family, data, ridge)
-
-
-def mixture_view(family, data):
-    """The estimator seen as an MLE against a mixture distribution.
-
-    The target empirical distribution enters with coefficient
-    ``N0 / (N0 + sum_i w_i n_i)`` and each source block with
-    ``w_i n_i / (N0 + sum_i w_i n_i)``. Categorical only.
-    """
-    if not isinstance(family, Categorical):
-        raise UnsupportedFamilyError("mixture view is defined for categorical data")
-    n0, ns = data.counts(family)
-    masses = [float(n0)] + [b.weight * n for b, n in zip(data.source_blocks, ns)]
-    masses = np.asarray(masses, dtype=float)
-    coeffs = masses / masses.sum()
-    emp = [family.sufficient_stat(data.target_samples) / n0]
-    for b, n in zip(data.source_blocks, ns):
-        # an empty or zero-weight block contributes a zero row with zero mass
-        emp.append(family.sufficient_stat(b.samples) / n if n else
-                   np.zeros(family.num_outcomes))
-    probs = np.einsum("i,ij->j", coeffs, np.asarray(emp))
-    return MixtureDistribution(component_weights=coeffs, outcome_probs=probs)

@@ -4,7 +4,8 @@ Everything here is written from the closed forms directly, without calling
 into the package, so a transcription slip in the library cannot hide. The
 exceptions: ``sampled_fits`` runs the package's per-sample path as the
 oracle for its sufficient-statistic draws, and ``weighted_loglik_oracle``
-sums a family's own per-sample log densities. Keep these dumb and obvious.
+and ``empirical_fisher`` sum a family's own per-sample log densities and
+scores. Keep these dumb and obvious.
 """
 
 import itertools
@@ -68,6 +69,27 @@ def naive_simplex_minimum(m, step):
     return best_alpha, best_val
 
 
+def simplex_qp_oracle(m):
+    """Exact minimum of alpha' M alpha on the simplex for positive definite
+    M, by support enumeration: on each support S, alpha_S is proportional
+    to the solution x of M_SS x = 1, kept when x > 0; the best kept value
+    is the optimum. Returns (alpha, value)."""
+    k = m.shape[0]
+    best_alpha, best_val = None, np.inf
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            idx = np.array(support)
+            x = np.linalg.solve(m[np.ix_(idx, idx)], np.ones(size))
+            if np.any(x <= 0):
+                continue
+            alpha = np.zeros(k)
+            alpha[idx] = x / x.sum()
+            val = float(alpha @ m @ alpha)
+            if val < best_val:
+                best_alpha, best_val = alpha, val
+    return best_alpha, best_val
+
+
 def fd_gradient(f, x, h=1e-5):
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
@@ -86,6 +108,15 @@ def weighted_loglik_oracle(family, theta, data, ridge=0.0):
     for b in data.source_blocks:
         total += b.weight * np.sum(family.log_density_batch(th, b.samples))
     return float(total - ridge * (th @ th))
+
+
+def empirical_fisher(family, theta, samples):
+    """Dense empirical information: the average outer product of the
+    per-sample scores at ``theta``, symmetrized. The oracle for the
+    package's projected path, ``projected_gram``."""
+    s = family.score_batch(theta, samples)
+    m = (s.T @ s) / len(s)
+    return 0.5 * (m + m.T)
 
 
 def softmax_hessian_oracle(feature_dim, num_classes, theta, zs):

@@ -13,7 +13,7 @@ import numpy as np
 
 from transferopt.cli import main as cli_main
 from transferopt.families import get_family
-from transferopt.fisher import analytic_fisher, empirical_fisher, projected_gram
+from transferopt.fisher import analytic_fisher, projected_gram
 from transferopt.harness import (
     brute_force_simplex,
     build_ensemble,
@@ -37,7 +37,7 @@ from transferopt.trainer import (
     train_multi_task,
 )
 
-from helpers import CONFIGS, load_json
+from helpers import CONFIGS, empirical_fisher, load_json
 
 
 CAT3 = {"name": "categorical", "params": {"num_outcomes": 3}}

@@ -181,11 +181,34 @@ _BAD_BATCHES = {
 def test_every_family_has_one_batch_observation_api(name):
     cls, _ = families._REGISTRY[name]
     for method in ("check_batch", "log_density_batch", "score_batch",
-                   "loglik_hessian", "sample", "n_samples"):
+                   "loglik_and_score_sum", "loglik_hessian", "sample",
+                   "n_samples"):
         assert callable(getattr(cls, method, None)), method
     assert not hasattr(cls, "log_density")
     assert not hasattr(cls, "score")
     assert name in {case[0] for case in _BAD_BATCHES.values()}
+
+
+@pytest.mark.parametrize("family_theta, n", [(_CAT3, 2000), (_GAUSS3, 2000),
+                                              (_SOFTMAX23, 2000), (_CAT3, 0),
+                                              (_SOFTMAX23, 1)])
+def test_loglik_and_score_sum_is_the_batch_sums(family_theta, n):
+    """Exactly the summed batch forms where they are built from them
+    (categorical, gaussian_iso); to rel 1e-12 for softmax, whose score sum
+    is one matrix product."""
+    name, params, theta = family_theta
+    family = get_family(name, params)
+    xs = family.sample(theta, n, derive_rng(17, n))
+    loglik, score = family.loglik_and_score_sum(theta, xs)
+    want_loglik = family.log_density_batch(theta, xs).sum()
+    want_score = family.score_batch(theta, xs).sum(axis=0)
+    assert loglik == want_loglik
+    assert score.shape == (family.dim,)
+    if name == "softmax_regression":
+        scale = max(1.0, np.max(np.abs(want_score)))
+        assert np.max(np.abs(score - want_score)) <= 1e-12 * scale
+    else:
+        assert np.array_equal(score, want_score)
 
 
 @pytest.mark.parametrize("case", list(_BAD_BATCHES))
@@ -195,6 +218,7 @@ def test_out_of_support_batches_raise_support_error(case):
     calls = [family.check_batch,
              lambda xs: family.log_density_batch(theta, xs),
              lambda xs: family.score_batch(theta, xs),
+             lambda xs: family.loglik_and_score_sum(theta, xs),
              lambda xs: family.loglik_hessian(theta, xs)]
     if hasattr(family, "sufficient_stat"):
         calls.append(family.sufficient_stat)

@@ -7,10 +7,11 @@ import pytest
 from transferopt import (
     UnsupportedFamilyError,
     analytic_fisher,
-    empirical_fisher,
     get_family,
     projected_gram,
 )
+
+from helpers import empirical_fisher
 
 
 def test_gaussian_information_is_identity(gauss3):
@@ -135,7 +136,7 @@ def test_fisher_error_paths(softmax23, gauss3):
     with pytest.raises(UnsupportedFamilyError):
         analytic_fisher(softmax23, np.zeros(6))
     with pytest.raises(ValueError):
-        empirical_fisher(gauss3, np.zeros(3), np.zeros((0, 3)))
+        projected_gram(gauss3, np.zeros(3), np.zeros((0, 3)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         projected_gram(gauss3, np.zeros(3), gauss3.sample(np.zeros(3), 5, 1),
                        np.zeros((2, 2)))  # direction rows mismatch the dim

@@ -26,7 +26,12 @@ from transferopt.planner import (
     sub_budget_curve,
 )
 
-from helpers import plan_total_oracle, predicted_single_oracle, rand_psd
+from helpers import (
+    plan_total_oracle,
+    predicted_single_oracle,
+    rand_psd,
+    simplex_qp_oracle,
+)
 
 
 def qp_from_gram(rng, k, budget_lo=50, budget_hi=4000):
@@ -141,6 +146,9 @@ def test_qp_matrix_type_invariants():
                  d=1, gram=good)
     with pytest.raises(ValueError, match="budget"):
         QpMatrix(m=good, budgets=np.array([10.0]), d=1, gram=good)
+    # a NaN entry fails none of the comparisons above, so it is named first
+    with pytest.raises(ValueError, match="finite"):
+        QpMatrix(m=np.full((2, 2), np.nan), budgets=budgets, d=1, gram=good)
 
 
 def test_project_to_simplex(rng):
@@ -182,6 +190,30 @@ def test_solver_matches_brute_force(rng):
         # the certificate: solver value can't beat the true minimum by more
         # than its own gap tolerance
         assert sol.value >= grid_val - 1e-6
+
+
+def test_solver_matches_support_enumeration(rng):
+    """K = 5..12 plan matrices against the exact optimum found by
+    enumerating supports, two instances per K."""
+    for k in list(range(5, 13)) * 2:
+        m = qp_from_gram(rng, k).m
+        want_alpha, want_val = simplex_qp_oracle(m)
+        sol = solve_simplex_qp(m)
+        assert sol.value == pytest.approx(want_val, rel=1e-10)
+        assert np.max(np.abs(sol.alpha - want_alpha)) <= 1e-8
+
+
+@pytest.mark.parametrize("bad, what", [
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite"),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), "finite"),
+    (np.ones((2, 3)), "square"),
+    (np.ones(3), "square"),
+    (np.ones((2, 2, 2)), "square"),
+    (np.zeros((0, 0)), "nonempty"),
+])
+def test_solver_rejects_malformed_matrices(bad, what):
+    with pytest.raises(ValueError, match=what):
+        solve_simplex_qp(bad)
 
 
 def test_solver_reports_convergence_failure(rng, monkeypatch):

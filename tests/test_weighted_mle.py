@@ -7,10 +7,8 @@ import pytest
 from transferopt import (
     ConvergenceError,
     SourceBlock,
-    UnsupportedFamilyError,
     WeightedDataset,
     fit_weighted_mle,
-    mixture_view,
 )
 from transferopt import weighted_mle
 from transferopt.families import SoftmaxRegression
@@ -128,37 +126,16 @@ def test_estimator_mean_is_the_weighted_mixture(cat3):
     assert np.all(np.abs(mean - expected) <= 3.0 * se)
 
 
-def test_mixture_view_coefficients(cat3, cat2, gauss3):
-    target4 = np.array([0, 0, 1, 2])
-    src8 = np.array([2, 2, 2, 1, 1, 0, 0, 0])
-    view = mixture_view(cat3, WeightedDataset(target4, [SourceBlock(src8, 0.5)]))
-    assert np.allclose(view.component_weights, [0.5, 0.5], atol=1e-15)
-    want = 0.5 * np.array([0.5, 0.25, 0.25]) + 0.5 * np.array([3, 2, 3]) / 8.0
-    assert np.allclose(view.outcome_probs, want, atol=1e-15)
-
-    # masses 3 and 0.5*2 -> (0.75, 0.25)
-    view2 = mixture_view(cat3, WeightedDataset(np.array([0, 1, 2]),
-                                               [SourceBlock(np.array([0, 0]), 0.5)]))
-    assert np.allclose(view2.component_weights, [0.75, 0.25], atol=1e-15)
-
-    # zero weight: the mixture is the target empirical distribution
-    view3 = mixture_view(cat2, WeightedDataset(np.array([0, 0, 0, 1]),
-                                               [SourceBlock(np.array([1, 1]), 0.0)]))
-    assert np.allclose(view3.component_weights, [1.0, 0.0], atol=1e-15)
-    assert np.allclose(view3.outcome_probs, [0.75, 0.25], atol=1e-15)
-
-    with pytest.raises(UnsupportedFamilyError):
-        mixture_view(gauss3, WeightedDataset(gauss3.sample(np.zeros(3), 5, 1), []))
-
-
 def test_fit_agrees_with_mixture_probabilities(cat3):
     # the weighted MLE is the mixture's probability vector
     target = np.array([0, 1, 1, 2, 2, 2])
     src = np.array([0, 0, 1])
     data = WeightedDataset(target, [SourceBlock(src, 1.7)])
     theta = fit_weighted_mle(cat3, data)
-    view = mixture_view(cat3, data)
-    assert np.max(np.abs(theta - view.outcome_probs[:-1])) <= 1e-12
+    # target empirical (1, 2, 3)/6 at mass 6, source (2, 1, 0)/3 at 1.7 * 3
+    mixture = (6.0 * np.array([1, 2, 3]) / 6.0
+               + 5.1 * np.array([2, 1, 0]) / 3.0) / 11.1
+    assert np.max(np.abs(theta - mixture[:-1])) <= 1e-12
 
 
 def test_convergence_failure_carries_state(softmax23, rng, monkeypatch):
