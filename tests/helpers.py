@@ -134,6 +134,28 @@ def softmax_hessian_oracle(feature_dim, num_classes, theta, zs):
     return h
 
 
+def softmax_probs_row_major(theta, zs, num_classes):
+    """Class probabilities sample-major, reducing along each ``(n, c)`` row:
+    the package's former ``class_probs``, kept as the reference for its
+    class-major form."""
+    zs = np.asarray(zs, dtype=float)
+    weights = np.asarray(theta, dtype=float).reshape(num_classes, -1)
+    logits = zs @ weights.T
+    logits -= logits.max(axis=1, keepdims=True)
+    q = np.exp(logits)
+    q /= q.sum(axis=1, keepdims=True)
+    return q
+
+
+def softmax_sample_row_major(theta, n, rng, num_classes, feature_dim):
+    """Softmax draws as the package made them sample-major: features, then
+    one uniform per row against its cumulative class probabilities."""
+    zs = rng.standard_normal((n, feature_dim))
+    q = softmax_probs_row_major(theta, zs, num_classes)
+    u = rng.random(n)
+    return zs, (u[:, None] > q.cumsum(axis=1)[:, :-1]).sum(axis=1)
+
+
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)

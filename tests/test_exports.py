@@ -1,5 +1,6 @@
-"""Public names: every ``__all__`` entry exists, and the package root
-re-exports only names its modules declare public."""
+"""Public names: every ``__all__`` entry exists, the package root
+re-exports only names its modules declare public, and no module imports a
+name it never uses."""
 
 import ast
 import importlib
@@ -39,3 +40,33 @@ def test_root_reexports_are_declared_public():
             undeclared.append(f"{module_name}.{name}")
         assert getattr(transferopt, name) is getattr(module, name)
     assert undeclared == []
+
+
+_SOURCES = sorted(Path(transferopt.__file__).parent.glob("*.py"))
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, node
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for name, node in _imported_names(tree):
+        reexport = path.stem == "__init__" and isinstance(node, ast.ImportFrom)
+        if name not in used and name not in exported and not reexport:
+            unused.append(f"{name} (line {node.lineno})")
+    assert unused == []

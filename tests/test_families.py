@@ -9,7 +9,8 @@ from transferopt import ParameterError, SupportError, families, get_family
 from transferopt.rng import derive_rng
 from transferopt.weighted_mle import SourceBlock, WeightedDataset, fit_weighted_mle
 
-from helpers import fd_gradient, softmax_hessian_oracle
+from helpers import (fd_gradient, softmax_hessian_oracle,
+                     softmax_probs_row_major, softmax_sample_row_major)
 
 
 def test_binary_log_density_is_log_half(cat2):
@@ -245,6 +246,58 @@ def test_softmax_sample_labels_stay_in_range_at_the_top_of_u(softmax23):
     zs, ys = softmax23.sample(theta, 1000, TopU(np.random.PCG64(5)))
     softmax23.check_batch((zs, ys))
     assert ys.max() == softmax23.num_classes - 1
+
+
+def _wide_logit_case(n, num_classes, feature_dim):
+    """A family, features and a theta scaled so the largest logit magnitude
+    is 1000: past exp's overflow at 709, so the max-shift must happen."""
+    fam = get_family("softmax_regression",
+                     {"feature_dim": feature_dim, "num_classes": num_classes})
+    rng = derive_rng(41, n, num_classes, feature_dim)
+    theta = rng.standard_normal(fam.dim)
+    zs = rng.standard_normal((n, feature_dim))
+    logits = zs @ theta.reshape(num_classes, feature_dim).T
+    theta *= 1000.0 / np.max(np.abs(logits), initial=1.0)
+    return fam, theta, zs
+
+
+@pytest.mark.parametrize("feature_dim", [1, 3, 50])
+@pytest.mark.parametrize("num_classes", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2000])
+def test_class_probs_are_bit_identical_to_the_row_major_softmax(
+        n, num_classes, feature_dim):
+    fam, theta, zs = _wide_logit_case(n, num_classes, feature_dim)
+    got = fam.class_probs(theta, zs)
+    want = softmax_probs_row_major(theta, zs, num_classes)
+    assert got.shape == (n, num_classes)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.all(np.isfinite(got))
+    zs, ys = fam.sample(theta, n, derive_rng(43, n))
+    want_zs, want_ys = softmax_sample_row_major(
+        theta, n, derive_rng(43, n), num_classes, feature_dim)
+    assert np.array_equal(zs, want_zs)
+    assert np.array_equal(ys, want_ys)
+
+
+@pytest.mark.parametrize("num_classes", [8, 12])
+def test_class_probs_from_eight_classes_agree_to_rounding(num_classes):
+    # numpy sums a row of 8 or more pairwise, in another order than the
+    # class-major sum, so the two agree only to rounding
+    fam, theta, zs = _wide_logit_case(2000, num_classes, 3)
+    got = fam.class_probs(theta, zs)
+    want = softmax_probs_row_major(theta, zs, num_classes)
+    assert got.shape == (2000, num_classes)
+    assert got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("zs", [np.zeros(2), np.zeros((4, 5)),
+                                np.zeros((2, 2, 2)), np.float64(0.5)],
+                         ids=["vector", "wrong-width", "three-dim", "scalar"])
+def test_class_probs_reject_features_of_the_wrong_shape(softmax23, zs):
+    with pytest.raises(SupportError, match=r"features must be \(n, 2\)"):
+        softmax23.class_probs(np.zeros(softmax23.dim), zs)
 
 
 def test_invalid_parameters(cat3, gauss3):
