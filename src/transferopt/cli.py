@@ -310,7 +310,12 @@ def _run(args):
     if args.threads is not None and args.threads < 0:
         raise ConfigError("threads must be nonnegative")
     out_dir = Path(args.out or os.environ.get("TRANSFEROPT_OUT") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        source = "--out" if args.out else "$TRANSFEROPT_OUT"
+        raise ConfigError(f"{source} {out_dir} is not a usable output "
+                          f"directory: {err.strerror or err}") from err
 
     results, csvs, fail, lines = _HANDLERS[args.command](settings, seed)
 

@@ -57,6 +57,9 @@ def load_config(path):
             config = json.load(fh)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{err.strerror or err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return config

@@ -18,7 +18,7 @@ from .families import get_family
 from .fisher import analytic_fisher
 from .kl import (kl_exact, mc_divergences, mc_expected_kl, mc_fits,
                  mse_kl_bridge, predict_kl_multi, predict_kl_single)
-from .planner import (build_qp_matrix, direction_gram, optimal_plan,
+from .planner import (QpMatrix, direction_gram, optimal_plan,
                       single_source_weight)
 from .rng import derive_rng
 
@@ -230,23 +230,6 @@ def source_scalars(ensemble):
     return np.diag(gram) / float(ensemble.family.dim)
 
 
-def _predict_under(n_target, weights, quantities, gram, d):
-    """Predicted divergence for arbitrary weights and quantities.
-
-    Sources with zero weight or zero quantity contribute nothing, so the
-    matrix is rebuilt on the active set only (the inactive rows would put
-    zero-count terms on the diagonal).
-    """
-    w = np.asarray(weights, dtype=float)
-    q = np.asarray(quantities, dtype=float)
-    active = np.nonzero((w > 0) & (q > 0))[0]
-    if active.size == 0:
-        return predict_kl_multi(n_target, np.empty(0), np.empty(0),
-                                np.zeros((0, 0)), d)
-    qp = build_qp_matrix(None, gram[np.ix_(active, active)], q[active], d)
-    return predict_kl_multi(n_target, q[active], w[active], qp.m, d)
-
-
 def _check_source_index(index, k):
     idx = int(index)
     if not 0 <= idx < k:
@@ -265,22 +248,22 @@ def _pinned(pinned_weights, k):
     return w.copy()
 
 
-def _sweep(axis, ensemble, grid, gram, point, trials, seed):
-    """Measured and predicted curves over a grid, where ``point(value)``
-    gives the (weights, quantities) at a grid value.
+def _sweep(axis, ensemble, grid, gram, weights, quantities, trials, seed):
+    """Measured and predicted curves over a grid, where row i of the
+    ``(len(grid), K)`` arrays ``weights`` and ``quantities`` holds grid
+    point i.
 
-    Grid points run serially. The point index enters the seed path, so
-    each point's estimate is reproducible on its own, whatever else the
-    grid holds.
+    The predictions take one call. The grid points' estimates run
+    serially; the point index enters the seed path, so each point's
+    estimate is reproducible on its own, whatever else the grid holds.
     """
-    d = ensemble.family.dim
-    preds = np.empty(len(grid))
+    preds = predict_kl_multi(ensemble.target_budget, weights=weights,
+                             quantities=quantities, gram=gram,
+                             d=ensemble.family.dim).total
     means = np.empty(len(grid))
     stderrs = np.empty(len(grid))
-    for i, value in enumerate(grid):
-        wv, qv = point(value)
-        preds[i] = _predict_under(ensemble.target_budget, wv, qv, gram, d).total
-        est = mc_expected_kl(ensemble, wv, qv, trials, seed,
+    for i in range(len(grid)):
+        est = mc_expected_kl(ensemble, weights[i], quantities[i], trials, seed,
                              seed_prefix=(i,))
         means[i] = est.mean
         stderrs[i] = est.std_error
@@ -295,16 +278,12 @@ def sweep_weight(ensemble, source_index, grid, trials, seed,
     if np.any(grid < 0):
         raise ConfigError("weights must be nonnegative", field="/grid")
     idx = _check_source_index(source_index, ensemble.k)
-    base = _pinned(pinned_weights, ensemble.k)
-    budgets = ensemble.source_budgets.astype(float)
-
-    def point(w):
-        wv = base.copy()
-        wv[idx] = w
-        return wv, budgets
-
-    return _sweep("weight", ensemble, grid, _ensemble_gram(ensemble), point,
-                  trials, seed)
+    rows = (len(grid), 1)
+    weights = np.tile(_pinned(pinned_weights, ensemble.k), rows)
+    weights[:, idx] = grid
+    quantities = np.tile(ensemble.source_budgets.astype(float), rows)
+    return _sweep("weight", ensemble, grid, _ensemble_gram(ensemble), weights,
+                  quantities, trials, seed)
 
 
 def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
@@ -319,28 +298,21 @@ def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
     if grid[0] < 0 or grid[-1] > ensemble.source_budgets[idx]:
         raise ConfigError("quantity grid must stay within [0, source budget]",
                           field="/grid")
-    base = _pinned(pinned_weights, ensemble.k)
+    rows = (len(grid), 1)
+    weights = np.tile(_pinned(pinned_weights, ensemble.k), rows)
     gram = _ensemble_gram(ensemble)
-    t_i = float(gram[idx, idx]) / ensemble.family.dim
     if weight_rule == "optimal":
-        def rule(n):
-            return 1.0 / (1.0 + t_i * n)
+        t_i = float(gram[idx, idx]) / ensemble.family.dim
+        weights[:, idx] = 1.0 / (1.0 + t_i * grid)
     else:
         fixed = float(weight_rule)
         if fixed < 0:
             raise ConfigError("fixed weight must be nonnegative", field="/rule")
-
-        def rule(n):
-            return fixed
-
-    def point(n):
-        wv = base.copy()
-        wv[idx] = rule(int(n))
-        qv = ensemble.source_budgets.astype(float)
-        qv[idx] = float(n)
-        return wv, qv
-
-    return _sweep("quantity", ensemble, grid, gram, point, trials, seed)
+        weights[:, idx] = fixed
+    quantities = np.tile(ensemble.source_budgets.astype(float), rows)
+    quantities[:, idx] = grid
+    return _sweep("quantity", ensemble, grid, gram, weights, quantities,
+                  trials, seed)
 
 
 def brute_force_simplex(m, step):
@@ -555,22 +527,16 @@ def _check_plan_beats_random(config, seed):
     mc_trials = int(config["mc_trials"])
     weight_high = float(config["weight_high"])
     d = family.dim
-    gram = _ensemble_gram(ens)
-    budgets = ens.source_budgets.astype(float)
-    qp = build_qp_matrix(None, gram, budgets, d)
+    qp = QpMatrix(_ensemble_gram(ens), ens.source_budgets, d)
     plan = optimal_plan(qp, n_target=ens.target_budget)
     plan_est = mc_expected_kl(ens, plan.weights, plan.quantities, trials,
                               seed, seed_prefix=(_PLAN_STREAM,))
 
     rng = derive_rng(seed, _RANDOM_DRAW_STREAM)
     weight_draws = rng.uniform(0.0, weight_high, size=(n_random, ens.k))
-    # predict_kl_multi at every draw at once, in masses b = w N with s =
-    # sum(b): (d/2) (N0 + b'Mb) / (N0 + s)^2; a zero weight adds nothing to
-    # b'Mb or s, as dropping that source would
-    masses = weight_draws * budgets
-    n0 = float(ens.target_budget)
-    quad = np.einsum("ri,ij,rj->r", masses, qp.m, masses)
-    predictions = 0.5 * d * (n0 + quad) / (n0 + masses.sum(axis=1)) ** 2
+    predictions = predict_kl_multi(ens.target_budget, weights=weight_draws,
+                                   quantities=qp.budgets, gram=qp.gram,
+                                   d=d).total
     beats_all = bool(plan_est.mean <= predictions.min())
 
     order = np.argsort(predictions)[:mc_top]

@@ -1,8 +1,9 @@
 """The generalization measure, evaluated three ways.
 
 1. ``kl_exact``: closed-form divergence between two members of a family.
-2. ``predict_kl_single`` / ``predict_kl_multi``: the asymptotic predictions,
-   split into their sampling-variance and domain-shift terms.
+2. ``predict_kl_multi``: the asymptotic prediction, the one risk formula,
+   split into its sampling-variance and domain-shift terms, for any
+   weights and quantities; ``predict_kl_single`` is its one-source case.
 3. ``mc_expected_kl``: seeded Monte Carlo over repeated estimation trials,
    the oracle everything else is checked against. Its trials, like those
    of every other Monte Carlo check, run serially in ``mc_fits``, each
@@ -42,7 +43,7 @@ class KlPrediction:
     """Asymptotic prediction split into its two nonnegative terms.
 
     ``total = (d/2) * (variance_term + bias_term)``; the terms themselves
-    are dimension-free.
+    are dimension-free. Floats for one prediction, arrays for a stack.
     """
 
     variance_term: float
@@ -80,50 +81,51 @@ def kl_exact(family, theta_p, theta_q):
 def predict_kl_single(n_target, n_source, weight, t, d):
     """Asymptotic measure for one source with quantity ``n_source`` and
     weight ``weight``; ``t`` is the Fisher-scaled squared source distance
-    divided by ``d``.
+    divided by ``d``. It is the one-source call of ``predict_kl_multi``,
+    with gram ``[[d t]]``.
     """
-    if n_target < 1 or n_source < 0 or weight < 0 or t < 0 or d < 1:
+    if t < 0:
         raise ValueError("invalid prediction inputs")
-    n0 = float(n_target)
-    n1 = float(n_source)
-    w = float(weight)
-    denom = (n0 + w * n1) ** 2
-    variance = (n0 + w * w * n1) / denom
-    bias = (w * w) * (n1 * n1) * t / denom
-    return KlPrediction(variance, bias, 0.5 * d * (variance + bias))
+    return predict_kl_multi(n_target, weights=[weight], quantities=[n_source],
+                            gram=[[d * t]], d=d)
 
 
-def predict_kl_multi(n_target, budgets, weights, qp_matrix, d):
-    """Asymptotic measure for K weighted sources at full budget quantities.
+def predict_kl_multi(n_target, *, weights, quantities, gram, d):
+    """Asymptotic measure for K weighted sources: the one risk formula.
 
-    ``qp_matrix`` is the K x K array M. The per-source masses are
-    ``b_i = w_i N_i``; with ``s = sum b`` and shares ``alpha = b/s`` the
-    measure is
-    ``(d/2) [ N0/(N0+s)^2 + s^2 (alpha^T M alpha)/(N0+s)^2 ]``.
-    At ``s = 0`` the share vector is undefined, the bias term is set to 0
-    (its coefficient vanishes there, so the function stays continuous).
+    Source i enters with weight ``w_i`` and quantity ``n_i``; ``gram`` is
+    the K x K form G = Theta^T J Theta of the information matrix against
+    the source direction columns. With masses ``b = w n`` and ``s = sum b``
+    the measure is ``(d/2) (variance_term + bias_term)``, where
+    ``variance_term = (N0 + sum w^2 n)/(N0 + s)^2`` is the sampling
+    variance of the target and the sources, and
+    ``bias_term = b^T G b / (d (N0 + s)^2)`` is the domain shift. A source
+    with zero weight or zero quantity adds nothing to either.
+
+    ``weights`` and ``quantities`` are K-vectors or ``(R, K)`` stacks and
+    broadcast against each other; a stack gives one prediction per row,
+    as arrays.
     """
     n0 = float(n_target)
+    w = np.asarray(weights, dtype=float)
+    n = np.asarray(quantities, dtype=float)
+    g = np.asarray(gram, dtype=float)
     if n0 < 1 or d < 1:
         raise ValueError("invalid prediction inputs")
-    nb = np.asarray(budgets, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if nb.shape != w.shape or nb.ndim != 1:
-        raise ValueError("budgets and weights must be matching vectors")
-    if np.any(nb < 1) or np.any(w < 0):
-        raise ValueError("budgets must be >= 1 and weights nonnegative")
-    m = np.asarray(qp_matrix, dtype=float)
-    b = w * nb
-    s = float(b.sum())
-    if s == 0.0:
-        variance = 1.0 / n0
-        bias = 0.0
-    else:
-        alpha = b / s
-        t = float(alpha @ m @ alpha)
-        variance = n0 / (n0 + s) ** 2
-        bias = (s * s) * t / (n0 + s) ** 2
-    return KlPrediction(variance, bias, 0.5 * d * (variance + bias))
+    if (w < 0).any() or (n < 0).any():
+        raise ValueError("weights and quantities must be nonnegative")
+    b = w * n
+    if b.ndim not in (1, 2) or g.shape != (b.shape[-1], b.shape[-1]):
+        raise ValueError(f"need K-vectors or (R, K) stacks of weights and "
+                         f"quantities against a K x K gram, got shapes "
+                         f"{w.shape}, {n.shape} and {g.shape}")
+    denom = (n0 + b.sum(axis=-1)) ** 2
+    variance = (n0 + (w * b).sum(axis=-1)) / denom
+    bias = ((b @ g) * b).sum(axis=-1) / (d * denom)
+    total = 0.5 * d * (variance + bias)
+    if b.ndim == 1:
+        return KlPrediction(float(variance), float(bias), float(total))
+    return KlPrediction(variance, bias, total)
 
 
 def _trial_fit(family, target_params, n_target, sources):

@@ -11,7 +11,7 @@ diagnostic sub-budget curve lets users watch that monotonicity instead of
 trusting it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,7 @@ QP_GAP_RTOL = 1e-12
 
 def symmetric_psd(m, name):
     """``m`` symmetrized, after checking that it is symmetric and positive
-    semi-definite to a qp matrix's tolerances; ValueError otherwise."""
+    semi-definite to a gram's tolerances; ValueError otherwise."""
     if not np.isfinite(m).all():
         raise ValueError(f"{name} must be finite")
     if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
@@ -56,24 +56,33 @@ def symmetric_psd(m, name):
 
 @dataclass
 class QpMatrix:
-    """The K x K quadratic coefficient matrix with its provenance."""
+    """The K x K quadratic coefficient matrix M = (diag(d/N_i) + G)/d,
+    derived from the direction gram G, the budgets N and the dimension d.
 
-    m: np.ndarray
+    The gram must be finite, symmetric and positive semi-definite, and
+    every budget a whole count >= 1; ValueError otherwise.
+    """
+
+    gram: np.ndarray
     budgets: np.ndarray
     d: int
-    gram: np.ndarray
+    m: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("qp matrix must be square")
-        self.m = symmetric_psd(m, "qp matrix")
-        self.budgets = np.asarray(self.budgets, dtype=float)
-        if self.budgets.shape != (m.shape[0],):
-            raise ValueError("need one budget per row of the qp matrix")
-        bound = 1.0 / self.budgets
-        if np.any(np.diag(self.m) < bound - 1e-9 * np.maximum(1.0, bound)):
-            raise ValueError("qp diagonal fell below the sampling floor 1/N_i")
+        gram = np.asarray(self.gram, dtype=float)
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ValueError("gram must be square")
+        self.gram = symmetric_psd(gram, "gram")
+        budgets = np.asarray(self.budgets, dtype=float)
+        if budgets.shape != (len(gram),):
+            raise ValueError("need one budget per row of the gram")
+        if not (np.isfinite(budgets).all() and np.all(budgets >= 1)
+                and np.all(budgets == np.floor(budgets))):
+            raise ValueError(f"budgets must be whole counts >= 1, "
+                             f"got {budgets.tolist()}")
+        self.budgets = budgets
+        self.d = int(self.d)
+        self.m = (np.diag(self.d / budgets) + self.gram) / float(self.d)
 
 
 @dataclass
@@ -157,28 +166,14 @@ def direction_gram(fisher, directions):
 
 
 def build_qp_matrix(directions, fisher, budgets, d):
-    """Assemble M = (diag(d/N_i) + Theta^T J Theta) / d.
-
-    With direction columns, ``fisher`` is the d x d information matrix J;
-    with ``directions=None`` it is the already-computed K x K gram.
-    """
-    nb = np.asarray(budgets, dtype=float)
-    if nb.ndim != 1 or np.any(nb < 1):
-        raise ValueError("budgets must be a vector of counts >= 1")
-    k = len(nb)
-    if directions is None:
-        gram = np.asarray(fisher, dtype=float)
-    else:
-        th = np.asarray(directions, dtype=float)
-        if th.ndim != 2 or th.shape[1] != k:
-            raise ValueError(
-                f"directions must have one column per source, got {th.shape}"
-            )
-        gram = direction_gram(fisher, th)
-    if gram.shape != (k, k):
-        raise ValueError(f"gram block must be {k}x{k}, got {gram.shape}")
-    m = (np.diag(d / nb) + gram) / float(d)
-    return QpMatrix(m=m, budgets=nb, d=int(d), gram=gram)
+    """QpMatrix of the direction columns Theta against the d x d
+    information matrix J, whose gram is Theta^T J Theta."""
+    th = np.asarray(directions, dtype=float)
+    if th.ndim != 2 or th.shape[1] != np.size(budgets):
+        raise ValueError(
+            f"directions must have one column per source, got {th.shape}"
+        )
+    return QpMatrix(direction_gram(fisher, th), budgets, d)
 
 
 def project_to_simplex(v):
@@ -259,7 +254,8 @@ def optimal_plan(qp, n_target):
     s_star = 1.0 / t_star
     weights = s_star * sol.alpha / qp.budgets
     quantities = qp.budgets.astype(int)
-    predicted = predict_kl_multi(n_target, qp.budgets, weights, qp.m, qp.d)
+    predicted = predict_kl_multi(n_target, weights=weights,
+                                 quantities=qp.budgets, gram=qp.gram, d=qp.d)
     return TransferPlan(
         weights=weights,
         quantities=quantities,
@@ -302,7 +298,6 @@ def sub_budget_curve(qp, n_target, fractions):
         if not 0.0 < f <= 1.0:
             raise ValueError("fractions must lie in (0, 1]")
         quant = np.maximum(1, np.floor(f * qp.budgets)).astype(float)
-        m_f = build_qp_matrix(None, qp.gram, quant, qp.d)
-        plan = optimal_plan(m_f, n_target=n_target)
+        plan = optimal_plan(QpMatrix(qp.gram, quant, qp.d), n_target=n_target)
         out.append((float(f), plan.predicted_kl.total))
     return out

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError, TransferOptError
 from .fisher import projected_gram
-from .planner import build_qp_matrix, optimal_plan
+from .planner import QpMatrix, optimal_plan
 from .weighted_mle import WeightedDataset, fit_weighted_mle
 
 __all__ = [
@@ -182,8 +182,7 @@ def pretrain_params(family, samples, ridge=0.0):
 def _replan(family, theta, target_data, source_params, budgets, n_target, d):
     directions = np.stack([p - theta for p in source_params], axis=1)
     gram = projected_gram(family, theta, target_data, directions)
-    qp = build_qp_matrix(None, gram, budgets, d)
-    return optimal_plan(qp, n_target=n_target).weights
+    return optimal_plan(QpMatrix(gram, budgets, d), n_target=n_target).weights
 
 
 @contextmanager

@@ -47,6 +47,17 @@ def plan_total_oracle(n0, b, m, d):
     return 0.5 * d * (n0 + b @ m @ b) / (n0 + s) ** 2
 
 
+def active_set_oracle(n0, w, n, gram, d):
+    """``plan_total_oracle`` at weights ``w`` and quantities ``n``, on the
+    sources with positive weight and quantity only, with M built there
+    from the gram as (diag(d/n) + G)/d."""
+    w = np.asarray(w, dtype=float)
+    n = np.asarray(n, dtype=float)
+    act = np.nonzero((w > 0) & (n > 0))[0]
+    m = (np.diag(d / n[act]) + np.asarray(gram)[np.ix_(act, act)]) / d
+    return plan_total_oracle(n0, w[act] * n[act], m, d)
+
+
 def rand_psd(rng, k):
     a = rng.standard_normal((k, k))
     return a.T @ a / k

@@ -22,7 +22,7 @@ from transferopt.harness import (
 )
 from transferopt.kl import mc_expected_kl, predict_kl_single
 from transferopt.planner import (
-    build_qp_matrix,
+    QpMatrix,
     composed_quantity_derivative,
     composed_quantity_objective,
     optimal_plan,
@@ -176,7 +176,7 @@ def test_criterion_05_single_source_pipeline_reduces_to_closed_form():
         n1 = int(rng.integers(50, 5001))
         d = int(rng.integers(1, 11))
         t = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 0.05))
-        qp = build_qp_matrix(None, np.array([[t * d]]), np.array([n1]), d)
+        qp = QpMatrix(np.array([[t * d]]), np.array([n1]), d)
         plan = optimal_plan(qp, n_target=n0)
         closed = single_source_weight(t, n1)
         worst = max(worst, abs(float(plan.weights[0]) - closed))

@@ -270,6 +270,29 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in err
 
 
+def test_config_naming_a_directory_exits_2(tmp_path, capsys):
+    rc, _, err = run(["weights", "--config", str(tmp_path),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert "cannot read config file" in err and str(tmp_path) in err
+
+
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys,
+                                                    monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    ran = []
+    monkeypatch.setitem(transferopt.cli._HANDLERS, "weights",
+                        lambda *a: ran.append(a))
+    for out in (taken, taken / "sub"):
+        rc, _, err = run(["weights", "--config",
+                          str(CONFIGS / "weights_golden.json"),
+                          "--out", str(out)], capsys)
+        assert rc == 2
+        assert "--out" in err and str(out) in err
+    assert ran == [] and taken.read_text(encoding="utf-8") == ""
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -19,7 +19,7 @@ from transferopt import harness
 from transferopt.harness import TaskEnsemble, build_ensemble, resolve_grid, source_scalars
 from transferopt.rng import derive_rng
 
-from helpers import naive_simplex_minimum, rand_psd
+from helpers import active_set_oracle, naive_simplex_minimum, rand_psd
 
 
 def test_zero_distance_sources_sit_on_the_target(cat3):
@@ -314,8 +314,8 @@ def test_random_plan_predictions_match_one_plan_at_a_time():
     gram = harness._ensemble_gram(ens)
     draws = derive_rng(31, harness._RANDOM_DRAW_STREAM).uniform(
         0.0, 2.0, size=(300, 3))
-    want = min(harness._predict_under(500, w, ens.source_budgets, gram,
-                                      2).total for w in draws)
+    want = min(active_set_oracle(500, w, ens.source_budgets, gram, 2)
+               for w in draws)
     got = report["details"]["min_random_predicted"]
     assert got == pytest.approx(want, rel=1e-12)
 

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from transferopt import (
+    analytic_fisher,
+    build_qp_matrix,
     get_family,
     kl_exact,
     mc_expected_kl,
     mse_kl_bridge,
+    optimal_plan,
     predict_kl_multi,
     predict_kl_single,
 )
@@ -23,8 +26,8 @@ from transferopt.harness import TaskEnsemble, build_ensemble, verify_claim
 from transferopt.kl import KlPrediction, mc_fits
 from transferopt.planner import composed_quantity_objective
 
-from helpers import (predicted_multi_oracle, predicted_single_oracle,
-                     rand_psd, sampled_fits)
+from helpers import (active_set_oracle, predicted_multi_oracle,
+                     predicted_single_oracle, rand_psd, sampled_fits)
 
 
 def test_divergence_zero_iff_equal(cat3, gauss3, rng):
@@ -197,19 +200,22 @@ def test_single_source_prediction_rejects_bad_inputs():
 
 def test_multi_source_prediction_transcription(rng):
     # all weights zero: back to d / (2 N0)
-    z = predict_kl_multi(700, np.array([10.0, 20.0]), np.zeros(2),
-                         np.eye(2), 3)
+    z = predict_kl_multi(700, weights=np.zeros(2),
+                         quantities=np.array([10.0, 20.0]), gram=np.eye(2),
+                         d=3)
     assert z.total == 3.0 / (2 * 700)
     assert z.bias_term == 0.0
 
     for _ in range(25):
         k = int(rng.integers(1, 5))
-        m = rand_psd(rng, k) + np.diag(rng.uniform(0.01, 0.1, k))
+        gram = rand_psd(rng, k) + np.diag(rng.uniform(0.01, 0.1, k))
         budgets = rng.integers(50, 3000, k).astype(float)
         weights = rng.uniform(0.0, 2.0, k)
         d = int(rng.integers(1, 6))
         n0 = int(rng.integers(100, 5000))
-        got = predict_kl_multi(n0, budgets, weights, m, d)
+        got = predict_kl_multi(n0, weights=weights, quantities=budgets,
+                               gram=gram, d=d)
+        m = (np.diag(d / budgets) + gram) / d
         b = weights * budgets
         s = b.sum()
         alpha = b / s
@@ -219,19 +225,98 @@ def test_multi_source_prediction_transcription(rng):
 
 
 def test_multi_reduces_to_single_for_one_source(rng):
-    """With M = [[t + 1/N1]] the two prediction routes agree on a dense
+    """With gram [[d t]] the two prediction routes agree on a dense
     weight grid to 1e-12, for random scales."""
     for _ in range(10):
         t_ss = float(rng.uniform(0.0, 0.05))
         n0 = int(rng.integers(50, 5000))
         n1 = int(rng.integers(10, 4000))
         d = int(rng.integers(1, 8))
-        m = np.array([[t_ss + 1.0 / n1]])
+        gram = np.array([[d * t_ss]])
         for w in np.linspace(0.0, 3.0, 100):
             single = predict_kl_single(n0, n1, w, t_ss, d).total
-            multi = predict_kl_multi(n0, np.array([float(n1)]),
-                                     np.array([w]), m, d).total
+            multi = predict_kl_multi(n0, weights=np.array([w]),
+                                     quantities=np.array([float(n1)]),
+                                     gram=gram, d=d).total
             assert abs(single - multi) <= 1e-12
+
+
+def test_one_term_split_for_every_source_count(gauss3, rng):
+    """Sources on the target add sampling variance only: zero direction
+    columns give a bias term of exactly 0, also at the plan. For K = 1 the
+    multi-source terms are the single-source ones."""
+    fisher = analytic_fisher(gauss3, np.zeros(3))
+    budgets = np.array([500.0, 800.0, 1200.0])
+    plan = optimal_plan(build_qp_matrix(np.zeros((3, 3)), fisher, budgets, 3),
+                        n_target=1000)
+    assert plan.predicted_kl.bias_term == 0.0
+    assert plan.predicted_kl.variance_term > 0.0
+    got = predict_kl_multi(1000, weights=[0.3, 1.0, 2.0], quantities=budgets,
+                           gram=np.zeros((3, 3)), d=3)
+    assert got.bias_term == 0.0
+    for _ in range(50):
+        n0 = int(rng.integers(1, 5000))
+        n1 = int(rng.integers(0, 5000))
+        w = float(rng.uniform(0.0, 3.0))
+        t = float(rng.uniform(0.0, 0.05))
+        d = int(rng.integers(1, 10))
+        single = predict_kl_single(n0, n1, w, t, d)
+        multi = predict_kl_multi(n0, weights=[w], quantities=[n1],
+                                 gram=[[d * t]], d=d)
+        for key in ("variance_term", "bias_term", "total"):
+            assert getattr(multi, key) == pytest.approx(
+                getattr(single, key), rel=1e-15, abs=0.0)
+
+
+def test_stacked_predictions_match_the_oracle_row_by_row(rng):
+    """An (R, K) stack gives each row's prediction, equal to the masses
+    oracle on that row's active set, with idle sources among the rows."""
+    for k in (1, 2, 4):
+        gram = rand_psd(rng, k) * 0.01
+        weights = rng.uniform(0.0, 2.0, (40, k))
+        quantities = rng.integers(0, 3000, (40, k)).astype(float)
+        weights[rng.random((40, k)) < 0.2] = 0.0
+        quantities[rng.random((40, k)) < 0.2] = 0.0
+        d = int(rng.integers(1, 6))
+        got = predict_kl_multi(700, weights=weights, quantities=quantities,
+                               gram=gram, d=d)
+        assert got.total.shape == (40,)
+        for r in range(40):
+            want = active_set_oracle(700, weights[r], quantities[r], gram, d)
+            assert got.total[r] == pytest.approx(want, rel=1e-13)
+        # a K-vector of quantities broadcasts against the stack of weights
+        row = predict_kl_multi(700, weights=weights, quantities=quantities[0],
+                               gram=gram, d=d)
+        for r in range(40):
+            assert row.total[r] == pytest.approx(active_set_oracle(
+                700, weights[r], quantities[0], gram, d), rel=1e-13)
+
+
+def test_idle_source_is_the_same_as_no_source(rng):
+    gram = rand_psd(rng, 3) * 0.01
+    weights = np.array([0.8, 1.3, 0.4])
+    quantities = np.array([400.0, 900.0, 1500.0])
+    keep = [0, 2]
+    dropped = predict_kl_multi(1000, weights=weights[keep],
+                               quantities=quantities[keep],
+                               gram=gram[np.ix_(keep, keep)], d=4)
+    for w, n in [([0.8, 0.0, 0.4], quantities), (weights, [400.0, 0.0, 1500.0])]:
+        idle = predict_kl_multi(1000, weights=w, quantities=n, gram=gram, d=4)
+        for key in ("variance_term", "bias_term", "total"):
+            assert getattr(idle, key) == pytest.approx(
+                getattr(dropped, key), rel=1e-14)
+
+
+def test_multi_source_prediction_is_keyword_only():
+    # an old (budgets, weights, M) call cannot read M as a gram
+    with pytest.raises(TypeError):
+        predict_kl_multi(700, np.array([10.0, 20.0]), np.ones(2), np.eye(2), 3)
+    with pytest.raises(ValueError, match="gram"):
+        predict_kl_multi(700, weights=np.ones(2), quantities=np.ones(2),
+                         gram=np.eye(3), d=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        predict_kl_multi(700, weights=[-1.0], quantities=[5.0],
+                         gram=[[0.0]], d=1)
 
 
 def test_more_data_never_hurts_at_the_optimal_weight():

@@ -38,7 +38,7 @@ def qp_from_gram(rng, k, budget_lo=50, budget_hi=4000):
     budgets = rng.integers(budget_lo, budget_hi, k).astype(float)
     d = int(rng.integers(1, 8))
     gram = rand_psd(rng, k) * rng.uniform(0.1, 5.0)
-    return build_qp_matrix(None, gram, budgets, d)
+    return QpMatrix(gram, budgets, d)
 
 
 def test_single_source_weight_closed_values():
@@ -128,27 +128,38 @@ def test_qp_matrix_rejects_bad_inputs(gauss3):
         build_qp_matrix(np.zeros((3, 2)), fop, np.array([10.0, 0.5]), 3)
     with pytest.raises(ValueError):
         build_qp_matrix(np.zeros((3, 1)), fop, np.array([10.0, 20.0]), 3)
-    with pytest.raises(ValueError):
+    # the gram alone goes to QpMatrix: build_qp_matrix needs directions
+    with pytest.raises(ValueError, match="one column per source"):
         build_qp_matrix(None, np.eye(3), np.array([10.0, 20.0]), 3)
 
 
 def test_qp_matrix_type_invariants():
     budgets = np.array([10.0, 10.0])
     good = np.diag([0.2, 0.2])
-    QpMatrix(m=good, budgets=budgets, d=1, gram=good)
+    # M is derived from the gram: (diag(d/N) + G)/d
+    qp = QpMatrix(np.diag([0.5, 1.0]), np.array([8.0, 4.0]), 2)
+    assert np.array_equal(qp.m, np.diag([0.375, 0.75]))
     with pytest.raises(ValueError, match="symmetric"):
-        QpMatrix(m=np.array([[0.2, 0.1], [0.0, 0.2]]), budgets=budgets,
-                 d=1, gram=good)
-    with pytest.raises(ValueError, match="sampling floor"):
-        QpMatrix(m=np.diag([0.2, 0.05]), budgets=budgets, d=1, gram=good)
+        QpMatrix(np.array([[0.2, 0.1], [0.0, 0.2]]), budgets, 1)
     with pytest.raises(ValueError, match="semi-definite"):
-        QpMatrix(m=np.array([[0.3, 0.4], [0.4, 0.3]]), budgets=budgets,
-                 d=1, gram=good)
-    with pytest.raises(ValueError, match="budget"):
-        QpMatrix(m=good, budgets=np.array([10.0]), d=1, gram=good)
+        QpMatrix(np.array([[0.3, 0.4], [0.4, 0.3]]), budgets, 1)
     # a NaN entry fails none of the comparisons above, so it is named first
     with pytest.raises(ValueError, match="finite"):
-        QpMatrix(m=np.full((2, 2), np.nan), budgets=budgets, d=1, gram=good)
+        QpMatrix(np.full((2, 2), np.nan), budgets, 1)
+    with pytest.raises(ValueError, match="budget"):
+        QpMatrix(good, np.array([10.0]), 1)
+    for bad in ([1200.7, 800.0], [10.0, 0.5], [10.0, np.inf], [10.0, np.nan]):
+        with pytest.raises(ValueError, match="whole counts"):
+            QpMatrix(good, np.array(bad), 1)
+
+
+def test_fractional_budgets_are_rejected_not_truncated(gauss3):
+    # a plan for budgets 1200.7 and 800.4 would report quantities 1200 and
+    # 800, so w * q / s would no longer be its shares
+    with pytest.raises(ValueError, match="whole counts"):
+        plan_from_parameters(gauss3, np.zeros(3),
+                             [np.full(3, 0.05), np.full(3, -0.1)],
+                             [1200.7, 800.4], 1000)
 
 
 def test_project_to_simplex(rng):
@@ -319,9 +330,9 @@ def test_plan_is_permutation_equivariant(rng):
     gram = rand_psd(rng, k)
     budgets = rng.integers(100, 3000, k).astype(float)
     d = 3
-    base = optimal_plan(build_qp_matrix(None, gram, budgets, d), n_target=2000)
+    base = optimal_plan(QpMatrix(gram, budgets, d), n_target=2000)
     perm = rng.permutation(k)
-    qp_p = build_qp_matrix(None, gram[np.ix_(perm, perm)], budgets[perm], d)
+    qp_p = QpMatrix(gram[np.ix_(perm, perm)], budgets[perm], d)
     permuted = optimal_plan(qp_p, n_target=2000)
     assert np.max(np.abs(permuted.alpha - base.alpha[perm])) <= 1e-8
     assert np.max(np.abs(permuted.weights - base.weights[perm])) <= 1e-8

@@ -15,7 +15,7 @@ from transferopt import (
     weighted_loss,
 )
 from transferopt.fisher import projected_gram
-from transferopt.planner import build_qp_matrix, optimal_plan
+from transferopt.planner import QpMatrix, optimal_plan
 from transferopt.rng import derive_rng
 from transferopt.trainer import (
     holdout_metrics,
@@ -132,7 +132,7 @@ def test_replanned_weights_match_a_replay():
         if epoch < cfg.epochs:
             dirs = np.stack([p - theta for p in pre], axis=1)
             gram = projected_gram(FAM, theta, target, dirs)
-            qp = build_qp_matrix(None, gram, budgets, FAM.dim)
+            qp = QpMatrix(gram, budgets, FAM.dim)
             weights = optimal_plan(qp, n_target=100).weights
     assert np.array_equal(trace.final_theta, theta)
 
