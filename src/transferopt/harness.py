@@ -48,7 +48,11 @@ _MAX_DIRECTION_DRAWS = 100
 
 @dataclass
 class TaskEnsemble:
-    """One target task plus K source tasks."""
+    """One target task plus K source tasks.
+
+    Budgets are whole counts >= 1, stored as ints; a fractional, infinite
+    or nan budget raises ParameterError naming it, never truncated.
+    """
 
     family: object
     target_params: np.ndarray
@@ -59,6 +63,13 @@ class TaskEnsemble:
     def __post_init__(self):
         self.target_params = np.asarray(self.target_params, dtype=float)
         self.source_params = [np.asarray(p, dtype=float) for p in self.source_params]
+        for name, n in [("target_budget", self.target_budget),
+                        *(("source_budgets", n)
+                          for n in np.ravel(self.source_budgets))]:
+            if not float(n).is_integer():
+                raise ParameterError(f"{name} must hold whole counts, "
+                                     f"got {n}")
+        self.target_budget = int(self.target_budget)
         self.source_budgets = np.asarray(self.source_budgets, dtype=int)
         if len(self.source_params) < 1:
             raise ParameterError("an ensemble needs at least one source")

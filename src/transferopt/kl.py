@@ -145,6 +145,14 @@ def _trial_fit(family, target_params, n_target, sources):
     return fit
 
 
+def _whole_count(n, name):
+    """``n`` as an int; a count that is not a whole number (1200.7, inf,
+    nan) is a ValueError, never truncated."""
+    if not float(n).is_integer():
+        raise ValueError(f"{name} must be a whole count, got {n}")
+    return int(n)
+
+
 def _tag_trial(err, i):
     # tag the same object: rebuilding it would drop its attributes and
     # fails for constructors that take other arguments
@@ -166,16 +174,18 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     (``mc_divergences``) takes the whole stack in one call.
 
     A family without a sufficient statistic (``softmax_regression``) is
-    rejected with UnsupportedFamilyError before any trial runs. A failing
-    trial re-raises its own exception, with the trial index in a ``trial``
-    attribute and a ``trial i:`` prefix on the message.
+    rejected with UnsupportedFamilyError, and an ``n_target`` or quantity
+    that is not a whole number with ValueError, before any trial runs. A
+    failing trial re-raises its own exception, with the trial index in a
+    ``trial`` attribute and a ``trial i:`` prefix on the message.
     """
     if not has_sufficient_stat(family):
         raise UnsupportedFamilyError(
             f"no sufficient statistic for family '{family.name}' to draw "
             "Monte Carlo trials from")
-    n_target = int(n_target)
-    sources = [(p, int(n), float(w)) for p, n, w in sources]
+    n_target = _whole_count(n_target, "n_target")
+    sources = [(p, _whole_count(n, f"source {k} quantity"), float(w))
+               for k, (p, n, w) in enumerate(sources)]
     fit = _trial_fit(family, target_params, n_target, sources)
     out = []
     for i in range(int(trials)):

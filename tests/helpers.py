@@ -167,6 +167,15 @@ def softmax_sample_row_major(theta, n, rng, num_classes, feature_dim):
     return zs, (u[:, None] > q.cumsum(axis=1)[:, :-1]).sum(axis=1)
 
 
+def seedsequence_rng(*path):
+    """The stream ``derive_rng`` is defined as, built by NumPy itself: the
+    seed is the ``SeedSequence`` entropy and the tags its spawn key, two
+    32-bit words per tag, low word first."""
+    tags = tuple(w for q in path[1:] for w in (q % 2 ** 32, q // 2 ** 32))
+    seq = np.random.SeedSequence(path[0], spawn_key=tags)
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)

@@ -1,8 +1,11 @@
 """Committed benchmark records: every ``BENCH_*.json`` at the repository
 root names only workloads and end-to-end metrics that ``BENCHMARK.json``
-declares, and holds a finite median and spread for both sides of each."""
+declares, and holds finite runs for both sides of each, with their
+median and spread. A record that claims a gain names a declared workload
+and metric, and its change median moves that metric the better way."""
 
 import math
+import statistics
 
 import pytest
 
@@ -35,3 +38,15 @@ def test_record_matches_the_declared_benchmark(path):
                 for stat in ("median", "iqr"):
                     assert math.isfinite(entry[side][stat]), (
                         f"{workload} {name} {side} {stat}")
+                assert entry[side]["median"] == statistics.median(runs), (
+                    f"{workload} {name} {side} median")
+    if "claim" in record:
+        claim = record["claim"]
+        assert claim["workload"] in workloads
+        assert claim["metric"] in metrics
+        entry = record["workloads"][claim["workload"]][claim["metric"]]
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        if metrics[claim["metric"]]["better"] == "lower":
+            assert change < parent
+        else:
+            assert change > parent

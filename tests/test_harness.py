@@ -1,6 +1,8 @@
 """Simulation harness: seeded ensembles, sweep curves, the exhaustive
 simplex search, and the named verification checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,26 @@ def test_ensemble_rejects_inconsistent_record(cat3):
     th0 = np.array([0.3, 0.4])
     with pytest.raises(ParameterError):
         TaskEnsemble(cat3, th0, 0, [th0.copy()], np.array([100]))
+
+
+@pytest.mark.parametrize("target, budgets, message", [
+    (100.7, [1200], "target_budget must hold whole counts, got 100.7"),
+    (100, [1200.7], "source_budgets must hold whole counts, got 1200.7"),
+    (100, [1200, math.inf], "source_budgets must hold whole counts, got inf"),
+    (math.nan, [1200], "target_budget must hold whole counts, got nan"),
+], ids=["fractional-target", "fractional-source", "inf", "nan"])
+def test_ensemble_rejects_non_whole_budgets(cat3, target, budgets, message):
+    th0 = np.array([0.3, 0.4])
+    with pytest.raises(ParameterError, match=message):
+        TaskEnsemble(cat3, th0, target, [th0.copy()] * len(budgets),
+                     np.array(budgets))
+
+
+def test_ensemble_stores_whole_float_budgets_as_counts(cat3):
+    th0 = np.array([0.3, 0.4])
+    ens = TaskEnsemble(cat3, th0, 2000.0, [th0.copy()], np.array([1200.0]))
+    assert type(ens.target_budget) is int and ens.target_budget == 2000
+    assert ens.source_budgets.tolist() == [1200]
 
 
 def test_unreachable_distance_raises_regime_error(cat3):

@@ -413,6 +413,32 @@ def test_mc_propagates_trial_failures(cat3):
         mc_expected_kl(ens, [0.5], [100], 1, 11)  # no standard error
 
 
+@pytest.mark.parametrize("n_target, quantity, message", [
+    (100.5, 100, "n_target must be a whole count, got 100.5"),
+    (100, 1200.7, "source 0 quantity must be a whole count, got 1200.7"),
+    (100, math.inf, "source 0 quantity must be a whole count, got inf"),
+    (math.nan, 100, "n_target must be a whole count, got nan"),
+], ids=["fractional-target", "fractional-quantity", "inf", "nan"])
+def test_mc_rejects_non_whole_counts_before_any_trial(cat3, monkeypatch,
+                                                      n_target, quantity,
+                                                      message):
+    """A count that is not whole was truncated: 1200.7 drew 1200 samples
+    while the prediction used 1200.7."""
+    streams = []
+    monkeypatch.setattr("transferopt.kl.derive_rng",
+                        lambda *path: streams.append(path))
+    th = np.array([0.3, 0.4])
+    with pytest.raises(ValueError, match=message):
+        mc_fits(cat3, th, n_target, [(th, quantity, 1.0)], 5, 11)
+    assert streams == []
+
+
+def test_mc_takes_whole_float_counts(cat3):
+    th = np.array([0.3, 0.4])
+    assert np.array_equal(mc_fits(cat3, th, 100.0, [(th, 200.0, 0.5)], 3, 11),
+                          mc_fits(cat3, th, 100, [(th, 200, 0.5)], 3, 11))
+
+
 @pytest.mark.parametrize("weights, quantities", [
     ([0.5], [100, 200]),
     ([0.5, 0.2, 0.9], [100, 200]),

@@ -1,13 +1,63 @@
-"""Stream derivation: every distinct path is its own stream."""
+"""Stream derivation: every distinct path is its own stream, and each is
+the stream NumPy builds from the same seed and spawn key."""
 
 import numpy as np
 import pytest
 
 from transferopt.rng import derive_rng
 
+from helpers import seedsequence_rng
+
+EDGE_PATHS = [(0,), (2 ** 64 - 1,), (0, 2 ** 32), (2 ** 64 - 1, 2 ** 64 - 1)]
+
 
 def _head(*path):
     return derive_rng(*path).integers(0, 2 ** 63, size=4).tolist()
+
+
+def _random_paths(count, seed):
+    """Paths of 1-5 elements, each a small integer, a value within 3 of
+    2**32, or any value up to 2**64 - 1."""
+    rng = np.random.default_rng(seed)
+
+    def element():
+        kind = rng.integers(3)
+        if kind == 0:
+            return int(rng.integers(0, 100))
+        if kind == 1:
+            return 2 ** 32 + int(rng.integers(-3, 4))
+        return int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+    return [tuple(element() for _ in range(rng.integers(1, 6)))
+            for _ in range(count)]
+
+
+def _draws(gen):
+    return (gen.integers(0, 2 ** 63, size=3).tolist(),
+            gen.multinomial(1000, [0.2, 0.3, 0.5]).tolist(),
+            gen.standard_normal(3).tolist())
+
+
+def test_streams_equal_the_seedsequence_construction():
+    for path in EDGE_PATHS + _random_paths(2000, 14):
+        assert _draws(derive_rng(*path)) == _draws(seedsequence_rng(*path)), (
+            path)
+
+
+def test_each_call_returns_its_own_generator():
+    a, b = derive_rng(7, 3), derive_rng(7, 3)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    head = a.integers(0, 2 ** 63, size=4).tolist()
+    # drawing from one leaves the other at the start of the stream
+    assert b.integers(0, 2 ** 63, size=4).tolist() == head
+    assert a.integers(0, 2 ** 63, size=4).tolist() != head
+
+
+def test_a_derived_stream_holds_only_its_philox_key():
+    gen = derive_rng(7, 3)
+    with pytest.raises(NotImplementedError):
+        gen.bit_generator.seed_seq.generate_state(4)
+    with pytest.raises(TypeError):
+        gen.spawn(1)
 
 
 def test_distinct_paths_give_distinct_streams():
