@@ -43,8 +43,4 @@ from .trainer import (  # noqa: F401
     train_multi_task,
     weighted_loss,
 )
-from .weighted_mle import (  # noqa: F401
-    SourceBlock,
-    WeightedDataset,
-    fit_weighted_mle,
-)
+from .weighted_mle import fit_weighted_mle  # noqa: F401

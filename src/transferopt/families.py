@@ -24,7 +24,9 @@ categorical, an ``(n, d)`` float array for the Gaussian, and a ``(Z, y)``
 pair for softmax regression. Every observation method takes a whole batch
 and passes it through the family's ``check_batch`` first;
 ``loglik_and_score_sum`` gives a batch's summed log likelihood and score
-together, which is all a gradient step needs.
+together, which is all a gradient step needs. Every sampler takes a whole
+count (``whole_count``): 10.7, inf or nan raises ValueError, as a negative
+count does, and is never truncated.
 
 The categorical and Gaussian families depend on a batch only through a
 sufficient statistic (outcome counts, the sample sum). Each offers it as
@@ -45,10 +47,27 @@ __all__ = [
     "GaussianIso",
     "SoftmaxRegression",
     "get_family",
+    "whole_count",
 ]
 
 # Lower bound on categorical probabilities; keeps 1/p terms finite.
 INTERIOR_FLOOR = 1e-9
+
+
+def whole_count(n, name):
+    """``n`` as an int; a count that is not a whole number (10.7, inf,
+    nan) is a ValueError naming ``name``, never truncated. A whole float
+    such as 2000.0 counts as 2000."""
+    if not float(n).is_integer():
+        raise ValueError(f"{name} must be a whole count, got {n}")
+    return int(n)
+
+
+def _sample_count(n):
+    n = whole_count(n, "sample count")
+    if n < 0:
+        raise ValueError("sample count must be nonnegative")
+    return n
 
 
 def _as_rng(seed_or_rng):
@@ -163,12 +182,11 @@ class Categorical:
 
     def sample(self, theta, n, rng):
         """Draw ``n`` outcomes. ``rng`` is an integer seed or a Generator."""
-        if n < 0:
-            raise ValueError("sample count must be nonnegative")
+        n = _sample_count(n)
         p = self.probs(theta)
         p = p / p.sum()
         r = _as_rng(rng)
-        return r.choice(self.num_outcomes, size=int(n), p=p)
+        return r.choice(self.num_outcomes, size=n, p=p)
 
     def n_samples(self, xs):
         return len(xs)
@@ -234,9 +252,7 @@ class Categorical:
         p = p / p.sum()
 
         def draw(n, rng):
-            if n < 0:
-                raise ValueError("sample count must be nonnegative")
-            return rng.multinomial(int(n), p).astype(float)
+            return rng.multinomial(_sample_count(n), p).astype(float)
 
         return draw
 
@@ -292,11 +308,10 @@ class GaussianIso:
                 self.score_batch(theta, xs).sum(axis=0))
 
     def sample(self, theta, n, rng):
-        if n < 0:
-            raise ValueError("sample count must be nonnegative")
+        n = _sample_count(n)
         th = self.validate(theta)
         r = _as_rng(rng)
-        return th + r.standard_normal((int(n), self.dim))
+        return th + r.standard_normal((n, self.dim))
 
     def n_samples(self, xs):
         return len(xs)
@@ -312,8 +327,7 @@ class GaussianIso:
         th = self.validate(theta)
 
         def draw(n, rng):
-            if n < 0:
-                raise ValueError("sample count must be nonnegative")
+            n = _sample_count(n)
             return n * th + np.sqrt(n) * rng.standard_normal(self.dim)
 
         return draw
@@ -418,21 +432,16 @@ class SoftmaxRegression:
             raise SupportError("label outside class range")
         return Z, y.astype(np.int64)
 
-    def _residuals(self, theta, xs):
-        """Checked features and the per-sample class residuals ``e_y - q``."""
-        Z, y = self.check_batch(xs)
-        r = -self.class_probs(theta, Z)
-        r[np.arange(len(y)), y] += 1.0
-        return Z, r
-
     def log_density_batch(self, theta, xs):
         Z, y = self.check_batch(xs)
         q = self.class_probs(theta, Z)
         return np.log(q[np.arange(len(y)), y])
 
     def score_batch(self, theta, xs):
-        Z, r = self._residuals(theta, xs)
-        # score for sample i is outer(r_i, z_i) flattened
+        Z, y = self.check_batch(xs)
+        r = -self.class_probs(theta, Z)
+        r[np.arange(len(y)), y] += 1.0
+        # score for sample i is outer(e_y_i - q_i, z_i) flattened
         return (r[:, :, None] * Z[:, None, :]).reshape(len(Z), self.dim)
 
     def loglik_and_score_sum(self, theta, xs):
@@ -446,29 +455,13 @@ class SoftmaxRegression:
         r[rows, y] += 1.0
         return np.log(q[rows, y]).sum(), (r.T @ Z).reshape(self.dim)
 
-    def score_project_batch(self, theta, xs, directions):
-        """Per-sample scores projected onto direction columns, ``(n, K)``.
-
-        Avoids materializing the ``(n, dim)`` score matrix: for direction
-        ``C`` (reshaped to a weight matrix) the projection of sample ``i``
-        is ``r_i . (C z_i)``.
-        """
-        Z, r = self._residuals(theta, xs)
-        dirs = np.asarray(directions, dtype=float)
-        out = np.empty((len(Z), dirs.shape[1]))
-        for k in range(dirs.shape[1]):
-            ck = dirs[:, k].reshape(self.num_classes, self.feature_dim)
-            out[:, k] = np.einsum("ij,ij->i", r, Z @ ck.T)
-        return out
-
     def sample(self, theta, n, rng):
-        if n < 0:
-            raise ValueError("sample count must be nonnegative")
+        n = _sample_count(n)
         th = self.validate(theta)
         r = _as_rng(rng)
-        Z = r.standard_normal((int(n), self.feature_dim))
+        Z = r.standard_normal((n, self.feature_dim))
         q = self._probs_by_class(th, Z)
-        u = r.random(int(n))
+        u = r.random(n)
         # label C-1 takes every u past the second-to-last cumulative sum, so
         # a last sum rounded below 1 cannot yield label C
         y = (u > q[:-1].cumsum(axis=0)).sum(axis=0)

@@ -3,8 +3,9 @@ projected onto source directions.
 
 Every function returns a plain array. The planner never needs more than
 the K x K quadratic form of the information matrix against the source
-direction columns, so the empirical path computes only that projection,
-one pass over the per-sample scores, never a d x d array.
+direction columns, so the empirical path computes only that projection:
+the per-sample scores (``score_batch``, the same for every family) times
+the direction columns, never a d x d array.
 """
 
 import numpy as np
@@ -39,10 +40,6 @@ def projected_gram(family, theta, samples, directions):
     n = family.n_samples(samples)
     if n < 1:
         raise ValueError("empirical information needs at least one sample")
-    project = getattr(family, "score_project_batch", None)
-    if project is not None:
-        proj = project(theta, samples, th)
-    else:
-        proj = family.score_batch(theta, samples) @ th
+    proj = family.score_batch(theta, samples) @ th
     g = (proj.T @ proj) / proj.shape[0]
     return 0.5 * (g + g.T)  # kill roundoff asymmetry

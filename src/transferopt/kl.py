@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedFamilyError
+from .families import whole_count
 from .fisher import analytic_fisher
 from .rng import derive_rng
 from .weighted_mle import fit_sufficient, has_sufficient_stat
@@ -145,14 +146,6 @@ def _trial_fit(family, target_params, n_target, sources):
     return fit
 
 
-def _whole_count(n, name):
-    """``n`` as an int; a count that is not a whole number (1200.7, inf,
-    nan) is a ValueError, never truncated."""
-    if not float(n).is_integer():
-        raise ValueError(f"{name} must be a whole count, got {n}")
-    return int(n)
-
-
 def _tag_trial(err, i):
     # tag the same object: rebuilding it would drop its attributes and
     # fails for constructors that take other arguments
@@ -183,8 +176,8 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
         raise UnsupportedFamilyError(
             f"no sufficient statistic for family '{family.name}' to draw "
             "Monte Carlo trials from")
-    n_target = _whole_count(n_target, "n_target")
-    sources = [(p, _whole_count(n, f"source {k} quantity"), float(w))
+    n_target = whole_count(n_target, "n_target")
+    sources = [(p, whole_count(n, f"source {k} quantity"), float(w))
                for k, (p, n, w) in enumerate(sources)]
     fit = _trial_fit(family, target_params, n_target, sources)
     out = []

@@ -2,7 +2,8 @@
 
 Every stochastic routine in the package draws from a Generator derived
 here. Streams are keyed by an integer path (master seed followed by
-role/index tags), so any trial or grid point can rebuild its own
+role/index tags; a fractional, infinite or nan element is rejected, never
+truncated), so any trial or grid point can rebuild its own
 generator independently of execution order. Runs are serial; values are
 computed per index and aggregated in index order, never drawn from a
 shared stream.
@@ -69,7 +70,8 @@ def derive_rng(*path):
     Parameters
     ----------
     *path : int
-        Nonnegative integers below 2**64. The first entry is
+        Whole numbers from 0 to 2**64 - 1; a fraction, inf or nan is a
+        ValueError, never truncated. The first entry is
         conventionally the master seed; later entries tag the role (trial
         index, grid point, source index, and so on).
     """
@@ -77,6 +79,8 @@ def derive_rng(*path):
         raise ValueError("derive_rng needs at least one path element")
     words = []
     for p in path:
+        if not float(p).is_integer():
+            raise ValueError(f"rng path elements must be whole numbers, got {p}")
         q = int(p)
         if q < 0:
             raise ValueError("rng path elements must be nonnegative")

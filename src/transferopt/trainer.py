@@ -7,11 +7,13 @@ empirical information gram over the target data. The first epoch always
 runs target-only, since weights start at zero. Multi-task mode runs the
 same loop round-robin, every task treating the others as its sources.
 
-The loss is normalized by the unweighted pooled sample count. Against the
-unnormalized weighted likelihood this only rescales the gradient, so it is
-a learning-rate convention, not a different objective. A step takes the
-loss and its gradient together from one forward pass per data block
-(``loglik_and_score_sum``).
+The loss is the negated ``weighted_loglik`` (the objective the weighted
+MLE maximizes) normalized by the unweighted pooled sample count. Against
+the unnormalized weighted likelihood this only rescales the gradient, so
+it is a learning-rate convention, not a different objective. A step takes
+the loss and its gradient together from one forward pass per data block
+with positive weight; a zero-weight block is not evaluated, so every
+source block is checked once on entry instead.
 """
 
 from contextlib import contextmanager
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ParameterError, TransferOptError
 from .fisher import projected_gram
 from .planner import QpMatrix, optimal_plan
-from .weighted_mle import WeightedDataset, fit_weighted_mle
+from .weighted_mle import fit_weighted_mle, weighted_loglik
 
 __all__ = [
     "TrainConfig",
@@ -122,22 +124,17 @@ def _pool_count(family, target_data, source_data):
 
 def _loss_and_gradient(family, theta, target_data, source_data, weights,
                        ridge):
-    """The pooled weighted loss and its gradient plus ``2*ridge*theta``,
-    from one ``loglik_and_score_sum`` call per data block."""
+    """The pooled weighted loss and its gradient plus ``2*ridge*theta``:
+    ``weighted_loglik`` negated and divided by the pooled count."""
     if family.n_samples(target_data) == 0:
         raise ParameterError("target data must be nonempty")
-    loglik, score = family.loglik_and_score_sum(theta, target_data)
-    total = -float(loglik)
-    g = -score
-    for w, block in zip(weights, source_data):
-        loglik, score = family.loglik_and_score_sum(theta, block)
-        total -= float(w) * float(loglik)
-        g -= float(w) * score
+    loglik, score = weighted_loglik(family, theta, target_data, source_data,
+                                    weights)
     n = _pool_count(family, target_data, source_data)
-    g /= n
+    g = -score / n
     if ridge:
         g = g + 2.0 * float(ridge) * np.asarray(theta, dtype=float)
-    return total / n, g
+    return -loglik / n, g
 
 
 def weighted_loss(family, theta, target_data, source_data, weights):
@@ -176,7 +173,7 @@ def holdout_metrics(family, theta, holdout_data):
 
 def pretrain_params(family, samples, ridge=0.0):
     """Fit one source model on its full dataset, as plan input."""
-    return fit_weighted_mle(family, WeightedDataset(samples, []), ridge)
+    return fit_weighted_mle(family, samples, ridge=ridge)
 
 
 def _replan(family, theta, target_data, source_params, budgets, n_target, d):
@@ -235,6 +232,9 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
     budgets = np.array([family.n_samples(b) for b in source_data], dtype=float)
     if np.any(budgets < 1):
         raise ParameterError("source blocks must be nonempty")
+    for block in source_data:
+        # a step skips zero-weight blocks, so each is checked here, once
+        family.check_batch(block)
     d = family.dim
 
     theta = np.zeros(d)

@@ -1,14 +1,19 @@
 """Weighted maximum-likelihood estimation.
 
 The estimator maximizes the target log likelihood plus each source block's
-log likelihood multiplied by that block's nonnegative weight. Categorical
-and Gaussian families have a sufficient statistic and closed forms
-(weighted counts and weighted means), which ``fit_sufficient`` takes from
-the blocks' statistics; every other fit, and every ridge-penalized one, is
-solved by damped Newton ascent.
-"""
+log likelihood multiplied by that block's nonnegative weight. Every fit
+and every trainer step takes its data in one form: ``target`` samples,
+a sequence of ``sources`` batches and one weight per source. The weighted
+sums themselves come from ``weighted_loglik`` alone, one
+``loglik_and_score_sum`` call per block with positive weight; Newton's
+gradient, Newton's Hessian and the trainer's pooled loss are all built
+from it or from its blocks.
 
-from dataclasses import dataclass, field
+Categorical and Gaussian families have a sufficient statistic and closed
+forms (weighted counts and weighted means), which ``fit_sufficient`` takes
+from the blocks' statistics; every other fit, and every ridge-penalized
+one, is solved by damped Newton ascent.
+"""
 
 import numpy as np
 
@@ -16,11 +21,10 @@ from .errors import ConvergenceError, UnsupportedFamilyError
 from .families import Categorical, GaussianIso, INTERIOR_FLOOR
 
 __all__ = [
-    "SourceBlock",
-    "WeightedDataset",
     "fit_weighted_mle",
     "fit_sufficient",
     "has_sufficient_stat",
+    "weighted_loglik",
     "weighted_loglik_grad",
 ]
 
@@ -29,30 +33,19 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 10000
 
 
-@dataclass
-class SourceBlock:
-    """One source dataset together with its transfer weight."""
-
-    samples: object
-    weight: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.weight < np.inf:
-            raise ValueError("source weights must be finite and nonnegative")
-
-
-@dataclass
-class WeightedDataset:
-    """Target samples plus weighted source blocks."""
-
-    target_samples: object
-    source_blocks: list = field(default_factory=list)
-
-
-def _active_blocks(data):
-    # zero-weight blocks contribute nothing and would only add 0 * (-inf)
-    # style noise at boundary samples, drop them up front
-    return [b for b in data.source_blocks if b.weight > 0.0]
+def _weighted_blocks(target, sources, weights):
+    """``(samples, weight)`` pairs: the target at weight 1, then each
+    source whose weight is positive. A zero-weight block contributes
+    nothing and is never evaluated. ``weights`` must hold one finite
+    nonnegative value per source block, else ValueError."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(sources),):
+        raise ValueError(f"need one weight per source block: "
+                         f"{len(sources)} blocks, weights of shape {w.shape}")
+    if not np.all((w >= 0.0) & (w < np.inf)):
+        raise ValueError("source weights must be finite and nonnegative")
+    return [(target, 1.0)] + [(xs, float(wk))
+                              for xs, wk in zip(sources, w) if wk > 0.0]
 
 
 def has_sufficient_stat(family):
@@ -61,11 +54,22 @@ def has_sufficient_stat(family):
     return hasattr(family, "stat_sampler")
 
 
-def weighted_loglik_grad(family, theta, data, ridge=0.0):
+def weighted_loglik(family, theta, target, sources=(), weights=()):
+    """The weighted log likelihood and its gradient, ``(sum w log p, sum w
+    score)``, over the target at weight 1 and each source block at its
+    weight; zero-weight blocks are skipped."""
+    total, score = 0.0, 0.0
+    for xs, w in _weighted_blocks(target, sources, weights):
+        loglik, block_score = family.loglik_and_score_sum(theta, xs)
+        total += w * float(loglik)
+        score = score + w * block_score
+    return total, score
+
+
+def weighted_loglik_grad(family, theta, target, sources=(), weights=(),
+                         ridge=0.0):
     """Gradient of the weighted log likelihood minus ``ridge * |theta|^2``."""
-    g = family.score_batch(theta, data.target_samples).sum(axis=0)
-    for b in _active_blocks(data):
-        g = g + b.weight * family.score_batch(theta, b.samples).sum(axis=0)
+    g = weighted_loglik(family, theta, target, sources, weights)[1]
     if ridge:
         g = g - 2.0 * ridge * np.asarray(theta, dtype=float)
     return g
@@ -105,20 +109,19 @@ def _closed_form_gaussian(total, mass):
     return total / mass
 
 
-def _newton(family, data, ridge):
+def _newton(family, target, sources, weights, ridge):
     if isinstance(family, Categorical):
         # start strictly inside the simplex
         theta = np.full(family.dim, 1.0 / family.num_outcomes)
     else:
         theta = np.zeros(family.dim)
-    g = weighted_loglik_grad(family, theta, data, ridge)
+    blocks = _weighted_blocks(target, sources, weights)
+    g = weighted_loglik_grad(family, theta, target, sources, weights, ridge)
     for _ in range(NEWTON_MAX_ITER):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= NEWTON_TOL:
             return theta
-        h = family.loglik_hessian(theta, data.target_samples)
-        for b in _active_blocks(data):
-            h = h + b.weight * family.loglik_hessian(theta, b.samples)
+        h = sum(w * family.loglik_hessian(theta, xs) for xs, w in blocks)
         if ridge:
             h = h - 2.0 * ridge * np.eye(family.dim)
         try:
@@ -131,7 +134,8 @@ def _newton(family, data, ridge):
             cand = theta + scale * step
             try:
                 family.validate(cand)
-                gc = weighted_loglik_grad(family, cand, data, ridge)
+                gc = weighted_loglik_grad(family, cand, target, sources,
+                                          weights, ridge)
             except Exception:
                 scale *= 0.5
                 continue
@@ -150,20 +154,21 @@ def _newton(family, data, ridge):
     )
 
 
-def fit_weighted_mle(family, data, ridge=0.0):
+def fit_weighted_mle(family, target, sources=(), weights=(), ridge=0.0):
     """Maximize the weighted log likelihood minus ``ridge * |theta|^2``.
 
+    ``target`` is the target samples, ``sources`` a sequence of source
+    batches and ``weights`` one finite nonnegative weight per source.
     A family with a sufficient statistic (categorical: weighted outcome
     counts; Gaussian: weighted means) is fitted in closed form when
     ``ridge`` is 0. Every other fit is damped Newton ascent, which drives
     the gradient norm to at most ``NEWTON_TOL``.
     """
-    if family.n_samples(data.target_samples) < 1:
+    blocks = _weighted_blocks(target, sources, weights)
+    if family.n_samples(target) < 1:
         raise ValueError("need at least one target sample")
     if has_sufficient_stat(family) and not ridge:
-        blocks = [(data.target_samples, 1.0)] + [
-            (b.samples, b.weight) for b in _active_blocks(data)]
         return fit_sufficient(family, [
             (family.sufficient_stat(xs), family.n_samples(xs), w)
             for xs, w in blocks])
-    return _newton(family, data, ridge)
+    return _newton(family, target, sources, weights, ridge)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from transferopt.rng import derive_rng
-from transferopt.weighted_mle import SourceBlock, WeightedDataset, fit_weighted_mle
+from transferopt.weighted_mle import fit_weighted_mle
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -111,13 +111,15 @@ def fd_gradient(f, x, h=1e-5):
     return g
 
 
-def weighted_loglik_oracle(family, theta, data, ridge=0.0):
+def weighted_loglik_oracle(family, theta, target, sources=(), weights=(),
+                           ridge=0.0):
     """Weighted log likelihood minus ``ridge * |theta|^2``, summed from the
-    family's per-sample log densities block by block."""
+    family's per-sample log densities block by block, every block
+    evaluated whatever its weight."""
     th = np.asarray(theta, dtype=float)
-    total = np.sum(family.log_density_batch(th, data.target_samples))
-    for b in data.source_blocks:
-        total += b.weight * np.sum(family.log_density_batch(th, b.samples))
+    total = np.sum(family.log_density_batch(th, target))
+    for xs, w in zip(sources, weights, strict=True):
+        total += w * np.sum(family.log_density_batch(th, xs))
     return float(total - ridge * (th @ th))
 
 
@@ -189,7 +191,7 @@ def sampled_fits(family, target_params, n_target, sources, trials, seed):
     for i in range(trials):
         rng = derive_rng(seed, i)
         target = family.sample(target_params, n_target, rng)
-        blocks = [SourceBlock(family.sample(p, n, rng), w)
-                  for p, n, w in sources]
-        fits.append(fit_weighted_mle(family, WeightedDataset(target, blocks)))
+        blocks = [family.sample(p, n, rng) for p, n, _ in sources]
+        fits.append(fit_weighted_mle(family, target, blocks,
+                                     [w for _, _, w in sources]))
     return np.array(fits)

@@ -70,3 +70,23 @@ def test_no_module_imports_a_name_it_never_uses(path):
         if name not in used and name not in exported and not reexport:
             unused.append(f"{name} (line {node.lineno})")
     assert unused == []
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("transferopt", "SourceBlock"),
+    ("transferopt", "WeightedDataset"),
+    ("transferopt.weighted_mle", "SourceBlock"),
+    ("transferopt.weighted_mle", "WeightedDataset"),
+    ("transferopt.weighted_mle", "_active_blocks"),
+    ("transferopt.kl", "_whole_count"),
+])
+def test_removed_names_stay_removed(owner, name):
+    """The block classes gave the weighted MLE a second data form beside
+    the trainer's ``(target, sources, weights)``; the count rule now lives
+    in ``families.whole_count``."""
+    assert not hasattr(importlib.import_module(owner), name)
+
+
+def test_softmax_has_no_second_score_projection():
+    # projected_gram takes score_batch(...) @ directions for every family
+    assert not hasattr(transferopt.SoftmaxRegression, "score_project_batch")

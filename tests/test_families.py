@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from transferopt import ParameterError, SupportError, families, get_family
+from transferopt.fisher import projected_gram
 from transferopt.rng import derive_rng
-from transferopt.weighted_mle import SourceBlock, WeightedDataset, fit_weighted_mle
+from transferopt.weighted_mle import fit_weighted_mle
 
 from helpers import (fd_gradient, softmax_hessian_oracle,
                      softmax_probs_row_major, softmax_sample_row_major)
@@ -95,6 +96,38 @@ def test_sample_zero_returns_empty(cat3, gauss3, softmax23):
     assert gauss3.sample(np.zeros(3), 0, 7).shape == (0, 3)
     z, y = softmax23.sample(np.zeros(softmax23.dim), 0, 7)
     assert len(y) == 0 and z.shape == (0, 2)
+
+
+@pytest.mark.parametrize("n", [10.7, math.inf, math.nan, -1, -2.0])
+def test_samplers_never_truncate_a_count(cat3, gauss3, softmax23, n):
+    """A count of 10.7 drew 10 samples, or the Gaussian "sum of 10.7
+    samples"; it is a ValueError, as a negative count is."""
+    rng = derive_rng(6)
+    draws = [lambda: cat3.sample([0.3, 0.4], n, rng),
+             lambda: gauss3.sample(np.zeros(3), n, rng),
+             lambda: softmax23.sample(np.zeros(softmax23.dim), n, rng),
+             lambda: cat3.stat_sampler([0.3, 0.4])(n, rng),
+             lambda: gauss3.stat_sampler(np.zeros(3))(n, rng)]
+    for draw in draws:
+        with pytest.raises(ValueError, match="whole count|nonnegative"):
+            draw()
+
+
+def test_a_whole_float_count_draws_what_the_int_draws(cat3, gauss3,
+                                                      softmax23):
+    th_s = np.arange(softmax23.dim, dtype=float) / 10.0
+    for n in (0, 7):
+        assert np.array_equal(cat3.sample([0.3, 0.4], float(n), 5),
+                              cat3.sample([0.3, 0.4], n, 5))
+        assert np.array_equal(gauss3.sample(np.ones(3), float(n), 5),
+                              gauss3.sample(np.ones(3), n, 5))
+        zf, yf = softmax23.sample(th_s, float(n), 5)
+        zi, yi = softmax23.sample(th_s, n, 5)
+        assert np.array_equal(zf, zi) and np.array_equal(yf, yi)
+    for sampler in (cat3.stat_sampler([0.3, 0.4]),
+                    gauss3.stat_sampler(np.ones(3))):
+        assert np.array_equal(sampler(2000.0, derive_rng(5)),
+                              sampler(2000, derive_rng(5)))
 
 
 def test_degenerate_categorical_sampling(cat2):
@@ -223,17 +256,16 @@ def test_out_of_support_batches_raise_support_error(case):
              lambda xs: family.loglik_hessian(theta, xs)]
     if hasattr(family, "sufficient_stat"):
         calls.append(family.sufficient_stat)
-    if hasattr(family, "score_project_batch"):
-        calls.append(lambda xs: family.score_project_batch(
-            theta, xs, np.eye(family.dim)[:, :2]))
+    calls.append(lambda xs: projected_gram(
+        family, theta, xs, np.eye(family.dim)[:, :2]))
     for call in calls:
         with pytest.raises(SupportError):
             call(bad)
     good = family.sample(theta, 5, 1)
     with pytest.raises(SupportError):
-        fit_weighted_mle(family, WeightedDataset(bad, []))
+        fit_weighted_mle(family, bad)
     with pytest.raises(SupportError):
-        fit_weighted_mle(family, WeightedDataset(good, [SourceBlock(bad, 0.5)]))
+        fit_weighted_mle(family, good, [bad], [0.5])
 
 
 def test_softmax_sample_labels_stay_in_range_at_the_top_of_u(softmax23):

@@ -566,15 +566,14 @@ def test_bridge_exact_cases(cat3):
 def test_bridge_holds_at_moderate_scale(cat3):
     """At N0 = 2000 the mean divergence and half the Fisher-weighted second
     moment agree within 10 percent over 1200 seeded fits."""
-    from transferopt import WeightedDataset, fit_weighted_mle
+    from transferopt import fit_weighted_mle
     from transferopt.rng import derive_rng
 
     th0 = np.array([0.3, 0.4])
     ests = []
     for tr in range(1200):
         r = derive_rng(17, tr)
-        ests.append(fit_weighted_mle(cat3, WeightedDataset(
-            cat3.sample(th0, 2000, r), [])))
+        ests.append(fit_weighted_mle(cat3, cat3.sample(th0, 2000, r)))
     lhs, rhs = mse_kl_bridge(cat3, th0, ests,
                              [kl_exact(cat3, th0, e) for e in ests])
     assert abs(lhs - rhs) <= 0.10 * lhs

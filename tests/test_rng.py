@@ -82,3 +82,19 @@ def test_a_path_rebuilds_its_stream():
 def test_invalid_paths_are_rejected(path):
     with pytest.raises(ValueError):
         derive_rng(*path)
+
+
+@pytest.mark.parametrize("path", [(5, 0.5), (1.9,), (3, float("inf")),
+                                  (float("nan"),)],
+                         ids=["fractional-tag", "fractional-seed", "inf",
+                              "nan"])
+def test_non_integral_path_elements_are_rejected(path):
+    """``(5, 0.5)`` drew the stream of ``(5, 0)`` and ``(1.9,)`` that of
+    ``(1,)``."""
+    with pytest.raises(ValueError, match="whole numbers"):
+        derive_rng(*path)
+
+
+def test_whole_float_path_elements_keep_the_integer_stream():
+    assert _head(5.0, 2.0) == _head(5, 2)
+    assert _head(np.uint64(2 ** 64 - 1)) == _head(2 ** 64 - 1)

@@ -8,6 +8,7 @@ from transferopt import (
     ConvergenceError,
     ParameterError,
     RegimeError,
+    SupportError,
     TrainConfig,
     get_family,
     train_multi_source,
@@ -69,6 +70,22 @@ def test_weighted_loss_hand_cases(cat3):
     assert abs(got_h - want_h) <= 1e-12
     with pytest.raises(ParameterError):
         weighted_loss(cat3, theta, np.array([], dtype=int), [src], [0.5])
+
+
+def test_a_malformed_source_block_fails_before_the_first_step(monkeypatch):
+    """Weights start at zero and a step skips zero-weight blocks, so the
+    blocks are checked on entry."""
+    target, relevant, _, _ = make_data(12, n_source=50)
+    bad = (relevant[0], np.full(50, FAM.num_classes))
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the blocks were checked")
+
+    monkeypatch.setattr("transferopt.trainer._step", no_step)
+    cfg = TrainConfig(learning_rate=2.0, epochs=3, ridge=1e-6)
+    with pytest.raises(SupportError, match="label outside class range"):
+        train_multi_source(FAM, target, [relevant, bad], [TH_TRUE, TH_OFF],
+                           cfg)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -293,11 +310,11 @@ def test_replan_failure_reraises_the_same_exception(monkeypatch, make_error):
 
 
 def test_pretrain_matches_direct_fit():
-    from transferopt import WeightedDataset, fit_weighted_mle
+    from transferopt import fit_weighted_mle
 
     data = FAM.sample(TH_TRUE, 300, derive_rng(14, 0))
     got = pretrain_params(FAM, data, ridge=1e-6)
-    want = fit_weighted_mle(FAM, WeightedDataset(data, []), ridge=1e-6)
+    want = fit_weighted_mle(FAM, data, ridge=1e-6)
     assert np.array_equal(got, want)
 
 

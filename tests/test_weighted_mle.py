@@ -4,42 +4,35 @@ mixture interpretation, and the estimator's exact mean."""
 import numpy as np
 import pytest
 
-from transferopt import (
-    ConvergenceError,
-    SourceBlock,
-    WeightedDataset,
-    fit_weighted_mle,
-)
+from transferopt import ConvergenceError, fit_weighted_mle, get_family
 from transferopt import weighted_mle
 from transferopt.families import SoftmaxRegression
 from transferopt.rng import derive_rng
-from transferopt.weighted_mle import weighted_loglik_grad
+from transferopt.trainer import weighted_loss, weighted_loss_gradient
+from transferopt.weighted_mle import weighted_loglik, weighted_loglik_grad
 
 from helpers import fd_gradient, weighted_loglik_oracle
 
 
 def test_binary_half_weight_counts(cat2):
     # target counts (2,1), source (0,2) at weight 0.5 -> pooled (2,2)
-    data = WeightedDataset(np.array([0, 0, 1]),
-                           [SourceBlock(np.array([1, 1]), 0.5)])
-    theta = fit_weighted_mle(cat2, data)
+    theta = fit_weighted_mle(cat2, np.array([0, 0, 1]), [np.array([1, 1])],
+                             [0.5])
     assert theta.shape == (1,)
     assert theta[0] == 0.5
 
 
 def test_zero_weights_reduce_to_target_mle(cat3, gauss3):
     xs = np.array([0, 1, 1, 2, 0, 0])
-    with_dead_source = WeightedDataset(
-        xs, [SourceBlock(np.array([2, 2, 2, 2]), 0.0)])
-    alone = WeightedDataset(xs, [])
-    assert np.array_equal(fit_weighted_mle(cat3, with_dead_source),
-                          fit_weighted_mle(cat3, alone))
+    assert np.array_equal(
+        fit_weighted_mle(cat3, xs, [np.array([2, 2, 2, 2])], [0.0]),
+        fit_weighted_mle(cat3, xs))
 
     ys = gauss3.sample(np.array([1.0, 0.0, -1.0]), 30, 4)
     zs = gauss3.sample(np.array([5.0, 5.0, 5.0]), 30, 5)
     assert np.array_equal(
-        fit_weighted_mle(gauss3, WeightedDataset(ys, [SourceBlock(zs, 0.0)])),
-        fit_weighted_mle(gauss3, WeightedDataset(ys, [])))
+        fit_weighted_mle(gauss3, ys, [zs], [0.0]),
+        fit_weighted_mle(gauss3, ys))
 
 
 def test_gaussian_weighted_mean(gauss3):
@@ -47,26 +40,23 @@ def test_gaussian_weighted_mean(gauss3):
     s1 = gauss3.sample(np.ones(3), 35, 2)
     s2 = gauss3.sample(-np.ones(3), 15, 3)
     w1, w2 = 0.8, 0.3
-    data = WeightedDataset(target, [SourceBlock(s1, w1), SourceBlock(s2, w2)])
     want = ((target.sum(axis=0) + w1 * s1.sum(axis=0) + w2 * s2.sum(axis=0))
             / (20 + w1 * 35 + w2 * 15))
-    got = fit_weighted_mle(gauss3, data)
+    got = fit_weighted_mle(gauss3, target, [s1, s2], [w1, w2])
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_newton_agrees_with_closed_form(cat3, gauss3, rng):
     xs = cat3.sample(np.array([0.25, 0.45]), 60, 8)
     src = cat3.sample(np.array([0.5, 0.2]), 80, 9)
-    data = WeightedDataset(xs, [SourceBlock(src, 0.6)])
-    closed = fit_weighted_mle(cat3, data)
-    newton = weighted_mle._newton(cat3, data, 0.0)
+    closed = fit_weighted_mle(cat3, xs, [src], [0.6])
+    newton = weighted_mle._newton(cat3, xs, [src], [0.6], 0.0)
     assert np.linalg.norm(closed - newton) <= 1e-8
 
     ys = gauss3.sample(np.array([0.2, -0.4, 1.0]), 25, 10)
     src_g = gauss3.sample(np.array([1.2, 0.1, 0.0]), 40, 11)
-    data_g = WeightedDataset(ys, [SourceBlock(src_g, 1.3)])
-    closed_g = fit_weighted_mle(gauss3, data_g)
-    newton_g = weighted_mle._newton(gauss3, data_g, 0.0)
+    closed_g = fit_weighted_mle(gauss3, ys, [src_g], [1.3])
+    newton_g = weighted_mle._newton(gauss3, ys, [src_g], [1.3], 0.0)
     assert np.linalg.norm(closed_g - newton_g) <= 1e-8
 
 
@@ -76,10 +66,8 @@ def test_weight_scaling_matches_duplication(cat3):
     target = np.array([0, 1, 2, 0, 1, 0])
     src = np.array([2, 2, 1, 0, 2])
     w = 0.5
-    scaled = fit_weighted_mle(
-        cat3, WeightedDataset(target, [SourceBlock(src, 4 * w)]))
-    duplicated = fit_weighted_mle(
-        cat3, WeightedDataset(target, [SourceBlock(np.tile(src, 4), w)]))
+    scaled = fit_weighted_mle(cat3, target, [src], [4 * w])
+    duplicated = fit_weighted_mle(cat3, target, [np.tile(src, 4)], [w])
     assert np.array_equal(scaled, duplicated)
 
 
@@ -90,8 +78,7 @@ def test_single_source_interpolation_is_monotone(cat3):
     src = np.array([2] * 7 + [1] * 2 + [0] * 1)
     grid = np.concatenate([[0.0], np.logspace(-3, 6, 40)])
     fits = np.array([
-        fit_weighted_mle(cat3, WeightedDataset(target, [SourceBlock(src, w)]))
-        for w in grid
+        fit_weighted_mle(cat3, target, [src], [w]) for w in grid
     ])
     target_emp = np.array([0.6, 0.2])
     source_emp = np.array([0.1, 0.2])
@@ -116,9 +103,9 @@ def test_estimator_mean_is_the_weighted_mixture(cat3):
     fits = np.empty((trials, 2))
     for tr in range(trials):
         r = derive_rng(123, tr)
-        data = WeightedDataset(cat3.sample(th0, n0, r),
-                               [SourceBlock(cat3.sample(th1, n1, r), w)])
-        fits[tr] = fit_weighted_mle(cat3, data)
+        target = cat3.sample(th0, n0, r)
+        fits[tr] = fit_weighted_mle(cat3, target, [cat3.sample(th1, n1, r)],
+                                    [w])
 
     expected = (n0 * th0 + w * n1 * th1) / (n0 + w * n1)
     mean = fits.mean(axis=0)
@@ -130,8 +117,7 @@ def test_fit_agrees_with_mixture_probabilities(cat3):
     # the weighted MLE is the mixture's probability vector
     target = np.array([0, 1, 1, 2, 2, 2])
     src = np.array([0, 0, 1])
-    data = WeightedDataset(target, [SourceBlock(src, 1.7)])
-    theta = fit_weighted_mle(cat3, data)
+    theta = fit_weighted_mle(cat3, target, [src], [1.7])
     # target empirical (1, 2, 3)/6 at mass 6, source (2, 1, 0)/3 at 1.7 * 3
     mixture = (6.0 * np.array([1, 2, 3]) / 6.0
                + 5.1 * np.array([2, 1, 0]) / 3.0) / 11.1
@@ -139,7 +125,7 @@ def test_fit_agrees_with_mixture_probabilities(cat3):
 
 
 def test_convergence_failure_carries_state(softmax23, rng, monkeypatch):
-    data = WeightedDataset(softmax23.sample(rng.standard_normal(6), 40, 2), [])
+    data = softmax23.sample(rng.standard_normal(6), 40, 2)
     monkeypatch.setattr(weighted_mle, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as exc:
         fit_weighted_mle(softmax23, data)
@@ -150,22 +136,21 @@ def test_convergence_failure_carries_state(softmax23, rng, monkeypatch):
 
 def test_loglik_gradient_matches_finite_differences(softmax23, rng):
     theta = rng.standard_normal(6) * 0.4
-    data = WeightedDataset(
-        softmax23.sample(theta, 15, 3),
-        [SourceBlock(softmax23.sample(theta + 0.2, 10, 4), 0.9)])
-    g = weighted_loglik_grad(softmax23, theta, data, ridge=0.05)
+    data = (softmax23.sample(theta, 15, 3),
+            [softmax23.sample(theta + 0.2, 10, 4)], [0.9])
+    g = weighted_loglik_grad(softmax23, theta, *data, ridge=0.05)
     fd = fd_gradient(
-        lambda th: weighted_loglik_oracle(softmax23, th, data, ridge=0.05),
+        lambda th: weighted_loglik_oracle(softmax23, th, *data, ridge=0.05),
         theta)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
 def test_empty_target_rejected(cat3):
     with pytest.raises(ValueError):
-        fit_weighted_mle(cat3, WeightedDataset(np.array([], dtype=int), []))
+        fit_weighted_mle(cat3, np.array([], dtype=int))
     for bad in (-0.1, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            SourceBlock(np.array([0]), bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_weighted_mle(cat3, np.array([0, 1]), [np.array([0])], [bad])
 
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-6])
@@ -173,6 +158,61 @@ def test_softmax_fit_above_dimension_200_converges(ridge):
     # d = 225: every fit without a closed form is Newton, at any dimension
     family = SoftmaxRegression(25, 9)
     theta = 0.1 * derive_rng(31, 0).standard_normal(family.dim)
-    data = WeightedDataset(family.sample(theta, 600, derive_rng(31, 1)), [])
-    fit = fit_weighted_mle(family, data, ridge)
-    assert np.linalg.norm(weighted_loglik_grad(family, fit, data, ridge)) <= 1e-10
+    data = family.sample(theta, 600, derive_rng(31, 1))
+    fit = fit_weighted_mle(family, data, ridge=ridge)
+    assert np.linalg.norm(
+        weighted_loglik_grad(family, fit, data, ridge=ridge)) <= 1e-10
+
+
+_FAMILIES = {
+    "categorical": ("categorical", {"num_outcomes": 3}, [0.3, 0.45]),
+    "gaussian_iso": ("gaussian_iso", {"dim": 2}, [0.4, -0.7]),
+    "softmax_regression": ("softmax_regression",
+                           {"feature_dim": 2, "num_classes": 3},
+                           [0.5, -0.2, 0.1, 0.3, -0.4, 0.6]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAMILIES))
+def test_weighted_loglik_matches_the_oracle(case):
+    """The one block sum against the per-sample oracle, with a zero-weight
+    block in the middle: equal value, and the score sum equals the oracle's
+    finite-difference gradient."""
+    name, params, theta = _FAMILIES[case]
+    family = get_family(name, params)
+    theta = np.asarray(theta)
+    target = family.sample(theta, 30, derive_rng(41, 0))
+    sources = [family.sample(theta, n, derive_rng(41, k + 1))
+               for k, n in enumerate((20, 15, 25))]
+    weights = [0.7, 0.0, 1.9]
+    loglik, score = weighted_loglik(family, theta, target, sources, weights)
+    want = weighted_loglik_oracle(family, theta, target, sources, weights)
+    assert abs(loglik - want) <= 1e-12 * abs(want)
+    assert score.shape == (family.dim,)
+    # categorical's fd steps stay inside the simplex at h = 1e-5
+    fd = fd_gradient(lambda th: weighted_loglik_oracle(
+        family, th, target, sources, weights), theta)
+    assert np.linalg.norm(score - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+    # dropping the zero-weight block changes no bit
+    alive = weighted_loglik(family, theta, target, [sources[0], sources[2]],
+                            [0.7, 1.9])
+    assert loglik == alive[0] and np.array_equal(score, alive[1])
+
+
+@pytest.mark.parametrize("weights", [[], [0.5], [0.5, 0.5, 0.5],
+                                     [[0.5, 0.5]]],
+                         ids=["none", "one", "three", "nested"])
+def test_one_weight_per_source_block(cat3, weights):
+    """Two source blocks with any other number of weights were summed over
+    the shorter of the two lists; the trainer's loss still divided by
+    both blocks' samples (0.619 for two blocks and one weight)."""
+    theta = np.array([0.3, 0.4])
+    target, src = np.array([0, 1]), np.array([2, 2, 0])
+    calls = [lambda: fit_weighted_mle(cat3, target, [src, src], weights),
+             lambda: weighted_loglik(cat3, theta, target, [src, src], weights),
+             lambda: weighted_loss(cat3, theta, target, [src, src], weights),
+             lambda: weighted_loss_gradient(cat3, theta, target, [src, src],
+                                            weights)]
+    for call in calls:
+        with pytest.raises(ValueError, match="one weight per source block"):
+            call()
