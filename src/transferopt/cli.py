@@ -144,9 +144,10 @@ def _cmd_verify(config, seed):
     try:
         report = verify_claim(check, config["config"], seed)
     except ConfigError as err:
-        # the check reports fields of its own config, which sits at /config
+        # the check reports fields of its own config, which sits at /config;
+        # the nested config's root "/" is /config itself
         if err.field:
-            err.field = "/config" + err.field
+            err.field = "/config" + err.field.rstrip("/")
         raise
     rows = [{
         "check": check,

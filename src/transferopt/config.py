@@ -2,8 +2,10 @@
 
 One schema file defines every command's config and every named check's
 nested config. Configs are validated before any computation runs, and
-unknown keys are rejected. Violations surface as ConfigError with a
-slash-separated field path so the CLI can point at the offending entry.
+unknown keys are rejected. A check run's schema covers its envelope only;
+``harness.verify_claim`` validates the nested config against the check's
+own entry. Violations surface as ConfigError with a slash-separated field
+path so the CLI can point at the offending entry.
 """
 
 import functools

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULTS, validate_config
 from .errors import ConfigError, ParameterError, RegimeError, ScaleError
-from .families import get_family
+from .families import get_family, whole_count
 from .fisher import analytic_fisher
 from .kl import (kl_exact, mc_divergences, mc_expected_kl, mc_fits,
                  mse_kl_bridge, predict_kl_multi, predict_kl_single)
@@ -63,14 +63,14 @@ class TaskEnsemble:
     def __post_init__(self):
         self.target_params = np.asarray(self.target_params, dtype=float)
         self.source_params = [np.asarray(p, dtype=float) for p in self.source_params]
-        for name, n in [("target_budget", self.target_budget),
-                        *(("source_budgets", n)
-                          for n in np.ravel(self.source_budgets))]:
-            if not float(n).is_integer():
-                raise ParameterError(f"{name} must hold whole counts, "
-                                     f"got {n}")
-        self.target_budget = int(self.target_budget)
-        self.source_budgets = np.asarray(self.source_budgets, dtype=int)
+        try:
+            self.target_budget = whole_count(self.target_budget,
+                                             "target_budget")
+            self.source_budgets = np.array(
+                [whole_count(n, "source_budgets")
+                 for n in np.ravel(self.source_budgets)], dtype=int)
+        except ValueError as err:
+            raise ParameterError(str(err)) from err
         if len(self.source_params) < 1:
             raise ParameterError("an ensemble needs at least one source")
         if self.target_budget < 1 or np.any(self.source_budgets < 1):
@@ -136,7 +136,12 @@ class SweepResult:
 
 def resolve_grid(spec, integer=False):
     """Turn a config grid spec (list, or start/stop with step or count)
-    into a strictly increasing array."""
+    into a strictly increasing array.
+
+    A step grid holds the points start + k*step up to stop, never past it.
+    An ``integer`` grid holds whole counts: a point such as 250.4 raises
+    ConfigError naming it, never rounded.
+    """
     if isinstance(spec, dict):
         try:
             start = float(spec["start"])
@@ -147,7 +152,9 @@ def resolve_grid(spec, integer=False):
             step = float(spec["step"])
             if step <= 0:
                 raise ConfigError("grid step must be positive", field="/grid/step")
-            count = int(round((stop - start) / step)) + 1
+            # a relative slack of 1e-9 keeps an end point that float error
+            # in (stop - start) / step would drop
+            count = int(np.floor((stop - start) / step * (1 + 1e-9))) + 1
             grid = start + step * np.arange(count)
         elif "count" in spec:
             grid = np.linspace(start, stop, int(spec["count"]))
@@ -158,7 +165,11 @@ def resolve_grid(spec, integer=False):
     if grid.ndim != 1 or len(grid) == 0:
         raise ConfigError("grid must be a nonempty vector", field="/grid")
     if integer:
-        grid = np.rint(grid).astype(int)
+        try:
+            grid = np.array([whole_count(g, "quantity grid point")
+                             for g in grid], dtype=int)
+        except ValueError as err:
+            raise ConfigError(str(err), field="/grid") from err
     if len(grid) > 1 and np.any(np.diff(grid) <= 0):
         raise ConfigError("grid must be strictly increasing", field="/grid")
     return grid
@@ -390,8 +401,14 @@ def brute_force_simplex(m, step):
 # verification checks
 
 
-def _combined_se(a, b):
-    return float(np.hypot(a, b))
+# the noise level of every Monte Carlo comparison, in standard errors
+_SIGMAS = 3.0
+
+
+def _within_noise(a, b, se_a, se_b):
+    """Whether the estimate ``a`` lies at most ``_SIGMAS`` combined
+    standard errors above ``b``."""
+    return bool(a <= b + _SIGMAS * np.hypot(se_a, se_b))
 
 
 def _check_grid(spec, integer=False):
@@ -427,26 +444,20 @@ def _check_weight_optimum(config, seed):
     within = steps_off <= 2
     # fallback for flat curves (t near 0): the measured curve at the
     # predicted optimum is indistinguishable from the measured minimum
-    se_pair = _combined_se(result.mc_stderrs[star_idx],
-                           result.mc_stderrs[result.mc_argmin])
-    flat = (result.mc_means[star_idx]
-            <= result.mc_means[result.mc_argmin] + 3.0 * se_pair)
-    return {
-        "verdict": "pass" if (within or flat) else "fail",
-        "n_target": int(ens.target_budget),
-        "regime_constants": [float(c) for c in ens.regime_constants],
-        "details": {
-            "t": t_i,
-            "w_star": w_star,
-            "w_star_index": star_idx,
-            "mc_argmin": result.mc_argmin,
-            "predicted_argmin": result.predicted_argmin,
-            "argmin_steps_off": int(steps_off),
-            "argmin_within_two_steps": bool(within),
-            "flat_at_optimum": bool(flat),
-            "sweep": result.to_json_dict(),
-            "trials": trials,
-        },
+    lo = result.mc_argmin
+    flat = _within_noise(result.mc_means[star_idx], result.mc_means[lo],
+                         result.mc_stderrs[star_idx], result.mc_stderrs[lo])
+    return within or flat, ens, {
+        "t": t_i,
+        "w_star": w_star,
+        "w_star_index": star_idx,
+        "mc_argmin": result.mc_argmin,
+        "predicted_argmin": result.predicted_argmin,
+        "argmin_steps_off": int(steps_off),
+        "argmin_within_two_steps": bool(within),
+        "flat_at_optimum": flat,
+        "sweep": result.to_json_dict(),
+        "trials": trials,
     }
 
 
@@ -459,26 +470,19 @@ def _check_quantity_monotone(config, seed):
     result = sweep_quantity(ens, idx, grid, rule, trials, seed)
     diffs = np.diff(result.predicted)
     pred_ok = bool(np.all(diffs < -1e-12))
-    mc_ok = True
-    first_violation = None
-    for i in range(len(result.grid) - 1):
-        slack = 3.0 * _combined_se(result.mc_stderrs[i], result.mc_stderrs[i + 1])
-        if result.mc_means[i + 1] > result.mc_means[i] + slack:
-            mc_ok = False
-            first_violation = i + 1
-            break
-    return {
-        "verdict": "pass" if (pred_ok and mc_ok) else "fail",
-        "n_target": int(ens.target_budget),
-        "regime_constants": [float(c) for c in ens.regime_constants],
-        "details": {
-            "rule": rule if isinstance(rule, str) else float(rule),
-            "predicted_strictly_decreasing": pred_ok,
-            "mc_decreasing_within_noise": mc_ok,
-            "first_mc_violation_index": first_violation,
-            "sweep": result.to_json_dict(),
-            "trials": trials,
-        },
+    means, ses = result.mc_means, result.mc_stderrs
+    first_violation = next(
+        (i + 1 for i in range(len(means) - 1)
+         if not _within_noise(means[i + 1], means[i], ses[i + 1], ses[i])),
+        None)
+    mc_ok = first_violation is None
+    return pred_ok and mc_ok, ens, {
+        "rule": rule if isinstance(rule, str) else float(rule),
+        "predicted_strictly_decreasing": pred_ok,
+        "mc_decreasing_within_noise": mc_ok,
+        "first_mc_violation_index": first_violation,
+        "sweep": result.to_json_dict(),
+        "trials": trials,
     }
 
 
@@ -508,25 +512,20 @@ def _check_dimension_scaling(config, seed):
     mc_ok = True
     for i in range(1, len(dims)):
         ratio = dims[i] / dims[0]
-        slack = 3.0 * _combined_se(stderrs[i], ratio * stderrs[0])
-        if abs(means[i] - ratio * means[0]) > slack:
-            mc_ok = False
-    return {
-        "verdict": "pass" if (pred_ok and mc_ok) else "fail",
-        "n_target": n0,
-        "regime_constants": constants,
-        "details": {
-            "dims": dims,
-            "t": t,
-            "w_star": w_star,
-            "predicted_totals": totals,
-            "mc_means": means,
-            "mc_stderrs": stderrs,
-            "linearity_max_rel_err": float(max(rel_errs)),
-            "predicted_linear": pred_ok,
-            "mc_ratios_ok": mc_ok,
-            "trials": trials,
-        },
+        scaled, scaled_se = ratio * means[0], ratio * stderrs[0]
+        mc_ok &= (_within_noise(means[i], scaled, stderrs[i], scaled_se)
+                  and _within_noise(scaled, means[i], scaled_se, stderrs[i]))
+    return pred_ok and mc_ok, (n0, constants), {
+        "dims": dims,
+        "t": t,
+        "w_star": w_star,
+        "predicted_totals": totals,
+        "mc_means": means,
+        "mc_stderrs": stderrs,
+        "linearity_max_rel_err": float(max(rel_errs)),
+        "predicted_linear": pred_ok,
+        "mc_ratios_ok": mc_ok,
+        "trials": trials,
     }
 
 
@@ -559,30 +558,25 @@ def _check_plan_beats_random(config, seed):
         top_means.append(est.mean)
         top_ses.append(est.std_error)
     best = int(np.argmin(top_means))
-    slack = 3.0 * _combined_se(plan_est.std_error, top_ses[best])
-    within = bool(plan_est.mean <= top_means[best] + slack)
-    margin = (top_means[best] - plan_est.mean) / _combined_se(
-        plan_est.std_error, top_ses[best])
-    return {
-        "verdict": "pass" if (beats_all and within) else "fail",
-        "n_target": int(ens.target_budget),
-        "regime_constants": [float(c) for c in ens.regime_constants],
-        "details": {
-            "plan": plan.to_json_dict(),
-            "plan_mc_mean": plan_est.mean,
-            "plan_mc_stderr": plan_est.std_error,
-            "random_plans": n_random,
-            "weight_high": weight_high,
-            "min_random_predicted": float(predictions.min()),
-            "beats_all_predictions": beats_all,
-            "top_mc_means": [float(v) for v in top_means],
-            "top_mc_stderrs": [float(v) for v in top_ses],
-            "best_random_mc": float(top_means[best]),
-            "within_noise_of_best": within,
-            "margin_sigmas": float(margin),
-            "trials": trials,
-            "mc_trials": mc_trials,
-        },
+    within = _within_noise(plan_est.mean, top_means[best],
+                           plan_est.std_error, top_ses[best])
+    margin = ((top_means[best] - plan_est.mean)
+              / np.hypot(plan_est.std_error, top_ses[best]))
+    return beats_all and within, ens, {
+        "plan": plan.to_json_dict(),
+        "plan_mc_mean": plan_est.mean,
+        "plan_mc_stderr": plan_est.std_error,
+        "random_plans": n_random,
+        "weight_high": weight_high,
+        "min_random_predicted": float(predictions.min()),
+        "beats_all_predictions": beats_all,
+        "top_mc_means": [float(v) for v in top_means],
+        "top_mc_stderrs": [float(v) for v in top_ses],
+        "best_random_mc": float(top_means[best]),
+        "within_noise_of_best": within,
+        "margin_sigmas": float(margin),
+        "trials": trials,
+        "mc_trials": mc_trials,
     }
 
 
@@ -606,20 +600,14 @@ def _check_estimator_mean(config, seed):
     observed = estimates.mean(axis=0)
     ses = estimates.std(axis=0, ddof=1) / np.sqrt(trials)
     sigmas = np.abs(observed - expected) / np.where(ses > 0, ses, np.inf)
-    ok = sigmas <= 3.0
-    return {
-        "verdict": "pass" if bool(np.all(ok)) else "fail",
-        "n_target": int(ens.target_budget),
-        "regime_constants": [float(c) for c in ens.regime_constants],
-        "details": {
-            "weights": [float(w) for w in weights],
-            "expected_mean": [float(v) for v in expected],
-            "observed_mean": [float(v) for v in observed],
-            "stderrs": [float(v) for v in ses],
-            "sigmas": [float(v) for v in sigmas],
-            "max_sigma": float(sigmas.max()),
-            "trials": trials,
-        },
+    return bool(np.all(sigmas <= _SIGMAS)), ens, {
+        "weights": [float(w) for w in weights],
+        "expected_mean": [float(v) for v in expected],
+        "observed_mean": [float(v) for v in observed],
+        "stderrs": [float(v) for v in ses],
+        "sigmas": [float(v) for v in sigmas],
+        "max_sigma": float(sigmas.max()),
+        "trials": trials,
     }
 
 
@@ -637,17 +625,12 @@ def _check_kl_mse_bridge(config, seed):
     lhs, rhs = mse_kl_bridge(family, th0, fits,
                              mc_divergences(family, th0, fits))
     rel_gap = abs(lhs - rhs) / abs(lhs)
-    return {
-        "verdict": "pass" if rel_gap <= rel_tol else "fail",
-        "n_target": n0,
-        "regime_constants": [],
-        "details": {
-            "mean_divergence": lhs,
-            "half_fisher_mse": rhs,
-            "rel_gap": float(rel_gap),
-            "rel_tol": rel_tol,
-            "trials": trials,
-        },
+    return rel_gap <= rel_tol, (n0, []), {
+        "mean_divergence": lhs,
+        "half_fisher_mse": rhs,
+        "rel_gap": float(rel_gap),
+        "rel_tol": rel_tol,
+        "trials": trials,
     }
 
 
@@ -671,14 +654,26 @@ def verify_claim(check, config, seed):
     weights beat random ones), estimator-mean (the weighted estimator
     centers on the mixture), kl-mse-bridge (divergence matches half the
     Fisher-weighted mean squared error). ``config`` is validated against
-    the check's schema entry; the check's defaults fill what it leaves out.
+    the check's schema entry, here only; the check's defaults fill what it
+    leaves out. A check returns its pass flag, its ensemble (or target
+    budget and distance constants) and its details; the envelope is built
+    here.
     """
     if check not in _CHECKS:
         known = ", ".join(sorted(_CHECKS))
         raise ConfigError(f"unknown check '{check}' (known: {known})",
                           field="/check")
     validate_config(check, config)
-    report = _CHECKS[check]({**DEFAULTS[check], **config}, int(seed))
-    report["check"] = check
-    report["seed"] = int(seed)
-    return report
+    passed, scale, details = _CHECKS[check]({**DEFAULTS[check], **config},
+                                            int(seed))
+    if isinstance(scale, TaskEnsemble):
+        scale = scale.target_budget, scale.regime_constants
+    n_target, constants = scale
+    return {
+        "check": check,
+        "seed": int(seed),
+        "verdict": "pass" if passed else "fail",
+        "n_target": int(n_target),
+        "regime_constants": [float(c) for c in constants],
+        "details": details,
+    }

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
+from .families import whole_count
 from .fisher import analytic_fisher
 from .kl import KlPrediction, predict_kl_multi, predict_kl_single
 
@@ -76,10 +77,10 @@ class QpMatrix:
         budgets = np.asarray(self.budgets, dtype=float)
         if budgets.shape != (len(gram),):
             raise ValueError("need one budget per row of the gram")
-        if not (np.isfinite(budgets).all() and np.all(budgets >= 1)
-                and np.all(budgets == np.floor(budgets))):
-            raise ValueError(f"budgets must be whole counts >= 1, "
-                             f"got {budgets.tolist()}")
+        for n in budgets:
+            whole_count(n, "budgets")
+        if np.any(budgets < 1):
+            raise ValueError(f"budgets must be >= 1, got {budgets.tolist()}")
         self.budgets = budgets
         self.d = int(self.d)
         self.m = (np.diag(self.d / budgets) + self.gram) / float(self.d)

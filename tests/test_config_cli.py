@@ -15,7 +15,7 @@ import transferopt.cli
 import transferopt.harness
 import transferopt.kl
 from transferopt.cli import main
-from transferopt.config import COMMANDS, load_schema, validate_config
+from transferopt.config import COMMANDS, DEFAULTS, load_schema, validate_config
 from transferopt.errors import ConfigError
 from transferopt.families import Categorical, SoftmaxRegression
 from transferopt.harness import verify_claim
@@ -252,6 +252,75 @@ def test_verify_claim_validates_the_nested_config():
     assert exc.value.field == "/trials"
     with pytest.raises(ConfigError, match="trails"):
         verify_claim("kl-mse-bridge", dict(_BRIDGE, trails=20), 1)
+
+
+def test_a_check_config_is_validated_by_verify_claim_alone(tmp_path,
+                                                          capsys):
+    cfg = _check("kl-mse-bridge", dict(_BRIDGE, trials=10, bogus=1))
+    validate_config("verify", cfg)  # the command's schema sees the envelope
+    with pytest.raises(ConfigError, match="bogus") as exc:
+        verify_claim("kl-mse-bridge", cfg["config"], 1)
+    assert exc.value.field == "/"
+    rc, _, err = run(["verify", "--config", write_cfg(tmp_path, cfg),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert err.startswith("config error at /config: ") and "bogus" in err
+
+
+_SMALL_CHECKS = {
+    "weight-optimum": _GRID_CHECK,
+    "quantity-monotone": dict(_GRID_CHECK, grid=[0, 750, 1500]),
+    "dimension-scaling": _DIMS,
+    "plan-beats-random": dict(_ENSEMBLE_CFG, trials=10, random_plans=20,
+                              mc_top=2, mc_trials=10),
+    "estimator-mean": dict(_ENSEMBLE_CFG, weights=[0.5], trials=10),
+    "kl-mse-bridge": dict(_BRIDGE, trials=10),
+}
+
+
+@pytest.mark.parametrize("check", list(_SMALL_CHECKS))
+def test_every_check_report_has_the_six_envelope_keys(check):
+    report = verify_claim(check, _SMALL_CHECKS[check], 7)
+    assert set(report) == {"check", "seed", "verdict", "n_target",
+                           "regime_constants", "details"}
+    assert report["check"] == check and report["seed"] == 7
+    assert report["verdict"] in ("pass", "fail")
+
+
+def test_check_names_agree_across_schema_harness_and_defaults():
+    defs = load_schema("verify")["$defs"]
+    names = defs["check_run"]["properties"]["check"]["enum"]
+    assert len(set(names)) == len(names)
+    assert {k for k in defs if "-" in k} == set(names)
+    assert set(transferopt.harness._CHECKS) == set(names)
+    assert set(DEFAULTS) - set(COMMANDS) == set(names)
+    assert set(_SMALL_CHECKS) == set(names)
+
+
+@pytest.mark.parametrize("grid, point", [([0, 250.4, 500], "250.4"),
+                                         ([0, 0.4, 0.6, 1000], "0.4")])
+def test_a_fractional_quantity_grid_point_exits_2_naming_it(
+        grid, point, tmp_path, capsys):
+    sweep = dict(load_json(CONFIGS / "sweep_quantity.json"), grid=grid)
+    check = _check("quantity-monotone", dict(_GRID_CHECK, grid=grid))
+    for command, config, field in (("sweep", sweep, "/grid"),
+                                   ("verify", check, "/config/grid")):
+        rc, _, err = run([command, "--config", write_cfg(tmp_path, config),
+                          "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2
+        assert err.startswith(f"config error at {field}: ")
+        assert f"got {point}\n" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_a_whole_float_quantity_grid_point_runs(tmp_path, capsys):
+    sweep = dict(load_json(CONFIGS / "sweep_quantity.json"),
+                 grid=[0, 250.0, 500], trials=10)
+    rc, _, _ = run(["sweep", "--config", write_cfg(tmp_path, sweep),
+                    "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    report = load_json(tmp_path / "report.json")
+    assert report["results"]["sweep"]["grid"] == [0, 250, 500]
 
 
 def test_defaults_fill_a_copy_and_are_not_echoed(tmp_path, capsys):

@@ -21,7 +21,8 @@ from transferopt import harness
 from transferopt.harness import TaskEnsemble, build_ensemble, resolve_grid, source_scalars
 from transferopt.rng import derive_rng
 
-from helpers import active_set_oracle, naive_simplex_minimum, rand_psd
+from helpers import (CONFIGS, active_set_oracle, load_json,
+                     naive_simplex_minimum, rand_psd)
 
 
 def test_zero_distance_sources_sit_on_the_target(cat3):
@@ -67,10 +68,10 @@ def test_ensemble_rejects_inconsistent_record(cat3):
 
 
 @pytest.mark.parametrize("target, budgets, message", [
-    (100.7, [1200], "target_budget must hold whole counts, got 100.7"),
-    (100, [1200.7], "source_budgets must hold whole counts, got 1200.7"),
-    (100, [1200, math.inf], "source_budgets must hold whole counts, got inf"),
-    (math.nan, [1200], "target_budget must hold whole counts, got nan"),
+    (100.7, [1200], "target_budget must be a whole count, got 100.7"),
+    (100, [1200.7], "source_budgets must be a whole count, got 1200.7"),
+    (100, [1200, math.inf], "source_budgets must be a whole count, got inf"),
+    (math.nan, [1200], "target_budget must be a whole count, got nan"),
 ], ids=["fractional-target", "fractional-source", "inf", "nan"])
 def test_ensemble_rejects_non_whole_budgets(cat3, target, budgets, message):
     th0 = np.array([0.3, 0.4])
@@ -124,6 +125,22 @@ def test_resolve_grid_forms():
         resolve_grid({"start": 0, "stop": 1, "step": -0.5})
     with pytest.raises(ConfigError):
         resolve_grid({"start": 0, "stop": 1})
+
+
+def test_a_step_grid_never_passes_stop():
+    # rounding (stop - start) / step = 1.67 up would add the point 1.2
+    assert np.array_equal(resolve_grid({"start": 0, "stop": 1, "step": 0.6}),
+                          [0.0, 0.6])
+    grid = resolve_grid({"start": 0.0, "stop": 2.0, "step": 0.3})
+    assert len(grid) == 7 and grid[-1] <= 2.0
+    # 0.3 / 0.1 is 2.9999999999999996: float error keeps the end point
+    assert len(resolve_grid({"start": 0, "stop": 0.3, "step": 0.1})) == 4
+
+
+def test_bundled_step_grids_keep_their_points():
+    spec = load_json(CONFIGS / "simulate_check_weight.json")["config"]["grid"]
+    grid = resolve_grid(spec)
+    assert len(grid) == 21 and grid[-1] == spec["stop"]
 
 
 def test_weight_sweep_at_zero_is_the_baseline(cat3):

@@ -149,14 +149,14 @@ def test_qp_matrix_type_invariants():
     with pytest.raises(ValueError, match="budget"):
         QpMatrix(good, np.array([10.0]), 1)
     for bad in ([1200.7, 800.0], [10.0, 0.5], [10.0, np.inf], [10.0, np.nan]):
-        with pytest.raises(ValueError, match="whole counts"):
+        with pytest.raises(ValueError, match="whole count"):
             QpMatrix(good, np.array(bad), 1)
 
 
 def test_fractional_budgets_are_rejected_not_truncated(gauss3):
     # a plan for budgets 1200.7 and 800.4 would report quantities 1200 and
     # 800, so w * q / s would no longer be its shares
-    with pytest.raises(ValueError, match="whole counts"):
+    with pytest.raises(ValueError, match="whole count"):
         plan_from_parameters(gauss3, np.zeros(3),
                              [np.full(3, 0.05), np.full(3, -0.1)],
                              [1200.7, 800.4], 1000)
