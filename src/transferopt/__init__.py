@@ -41,6 +41,5 @@ from .trainer import (  # noqa: F401
     TrainTrace,
     train_multi_source,
     train_multi_task,
-    weighted_loss,
 )
 from .weighted_mle import fit_weighted_mle  # noqa: F401

@@ -349,14 +349,15 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         return _run(args)
+    except _NUMERIC_EXIT as err:
+        # first: LinAlgError is a ValueError, which _CONFIG_EXIT holds
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
     except _CONFIG_EXIT as err:
         field = getattr(err, "field", None)
         where = f" at {field}" if field else ""
         print(f"config error{where}: {err}", file=sys.stderr)
         return 2
-    except _NUMERIC_EXIT as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
     finally:
         elapsed = time.perf_counter() - start
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -54,12 +54,12 @@ __all__ = [
 INTERIOR_FLOOR = 1e-9
 
 
-def whole_count(n, name):
+def whole_count(n, name, error=ValueError):
     """``n`` as an int; a count that is not a whole number (10.7, inf,
-    nan) is a ValueError naming ``name``, never truncated. A whole float
-    such as 2000.0 counts as 2000."""
+    nan) raises ``error(message)`` naming ``name``, never truncated. A
+    whole float such as 2000.0 counts as 2000."""
     if not float(n).is_integer():
-        raise ValueError(f"{name} must be a whole count, got {n}")
+        raise error(f"{name} must be a whole count, got {n}")
     return int(n)
 
 
@@ -73,7 +73,7 @@ def _sample_count(n):
 def _as_rng(seed_or_rng):
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return derive_rng(int(seed_or_rng))
+    return derive_rng(seed_or_rng)
 
 
 def _param_rows(theta, dim, what):
@@ -101,7 +101,7 @@ class Categorical:
     name = "categorical"
 
     def __init__(self, num_outcomes):
-        m = int(num_outcomes)
+        m = whole_count(num_outcomes, "num_outcomes", ParameterError)
         if m < 2:
             raise ParameterError("categorical needs at least 2 outcomes")
         self.num_outcomes = m
@@ -273,7 +273,7 @@ class GaussianIso:
     name = "gaussian_iso"
 
     def __init__(self, dim):
-        d = int(dim)
+        d = whole_count(dim, "dim", ParameterError)
         if d < 1:
             raise ParameterError("gaussian_iso needs dim >= 1")
         self.dim = d
@@ -373,7 +373,8 @@ class SoftmaxRegression:
     name = "softmax_regression"
 
     def __init__(self, feature_dim, num_classes):
-        p, c = int(feature_dim), int(num_classes)
+        p = whole_count(feature_dim, "feature_dim", ParameterError)
+        c = whole_count(num_classes, "num_classes", ParameterError)
         if p < 1 or c < 2:
             raise ParameterError("need feature_dim >= 1 and num_classes >= 2")
         self.feature_dim = p

@@ -9,6 +9,7 @@ function of its config and master seed.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -63,14 +64,11 @@ class TaskEnsemble:
     def __post_init__(self):
         self.target_params = np.asarray(self.target_params, dtype=float)
         self.source_params = [np.asarray(p, dtype=float) for p in self.source_params]
-        try:
-            self.target_budget = whole_count(self.target_budget,
-                                             "target_budget")
-            self.source_budgets = np.array(
-                [whole_count(n, "source_budgets")
-                 for n in np.ravel(self.source_budgets)], dtype=int)
-        except ValueError as err:
-            raise ParameterError(str(err)) from err
+        self.target_budget = whole_count(self.target_budget, "target_budget",
+                                         ParameterError)
+        self.source_budgets = np.array(
+            [whole_count(n, "source_budgets", ParameterError)
+             for n in np.ravel(self.source_budgets)], dtype=int)
         if len(self.source_params) < 1:
             raise ParameterError("an ensemble needs at least one source")
         if self.target_budget < 1 or np.any(self.source_budgets < 1):
@@ -135,8 +133,8 @@ class SweepResult:
 
 
 def resolve_grid(spec, integer=False):
-    """Turn a config grid spec (list, or start/stop with step or count)
-    into a strictly increasing array.
+    """Turn a config grid spec (list, or start/stop with step or count,
+    not both) into a strictly increasing array.
 
     A step grid holds the points start + k*step up to stop, never past it.
     An ``integer`` grid holds whole counts: a point such as 250.4 raises
@@ -148,6 +146,9 @@ def resolve_grid(spec, integer=False):
             stop = float(spec["stop"])
         except KeyError as err:
             raise ConfigError(f"grid spec needs {err.args[0]}", field="/grid") from err
+        if "step" in spec and "count" in spec:
+            raise ConfigError("grid spec takes step or count, not both",
+                              field="/grid")
         if "step" in spec:
             step = float(spec["step"])
             if step <= 0:
@@ -157,7 +158,9 @@ def resolve_grid(spec, integer=False):
             count = int(np.floor((stop - start) / step * (1 + 1e-9))) + 1
             grid = start + step * np.arange(count)
         elif "count" in spec:
-            grid = np.linspace(start, stop, int(spec["count"]))
+            count = whole_count(spec["count"], "grid count",
+                                partial(ConfigError, field="/grid/count"))
+            grid = np.linspace(start, stop, count)
         else:
             raise ConfigError("grid spec needs step or count", field="/grid")
     else:
@@ -165,11 +168,9 @@ def resolve_grid(spec, integer=False):
     if grid.ndim != 1 or len(grid) == 0:
         raise ConfigError("grid must be a nonempty vector", field="/grid")
     if integer:
-        try:
-            grid = np.array([whole_count(g, "quantity grid point")
-                             for g in grid], dtype=int)
-        except ValueError as err:
-            raise ConfigError(str(err), field="/grid") from err
+        bad_point = partial(ConfigError, field="/grid")
+        grid = np.array([whole_count(g, "quantity grid point", bad_point)
+                         for g in grid], dtype=int)
     if len(grid) > 1 and np.any(np.diff(grid) <= 0):
         raise ConfigError("grid must be strictly increasing", field="/grid")
     return grid
@@ -222,19 +223,17 @@ def build_ensemble(family, config, master_seed):
     ConfigError at ``/target_params`` or ``/sources/i/params``.
     """
     th0 = config_params(family, config["target_params"], "/target_params")
-    n0 = int(config["n_target"])
-    params, budgets = [], []
+    n0 = whole_count(config["n_target"], "n_target", ParameterError)
+    params = []
     for i, src in enumerate(config["sources"]):
-        n = int(src["budget"])
         if "params" in src:
             p = config_params(family, src["params"], f"/sources/{i}/params")
         else:
             p = _draw_source_params(family, th0, float(src["c"]), n0,
-                                    int(src.get("direction_seed", i)),
-                                    int(master_seed))
+                                    src.get("direction_seed", i), master_seed)
         params.append(p)
-        budgets.append(n)
-    return TaskEnsemble(family, th0, n0, params, np.asarray(budgets))
+    return TaskEnsemble(family, th0, n0, params,
+                        [src["budget"] for src in config["sources"]])
 
 
 def _ensemble_gram(ensemble):
@@ -665,7 +664,7 @@ def verify_claim(check, config, seed):
                           field="/check")
     validate_config(check, config)
     passed, scale, details = _CHECKS[check]({**DEFAULTS[check], **config},
-                                            int(seed))
+                                            seed)
     if isinstance(scale, TaskEnsemble):
         scale = scale.target_budget, scale.regime_constants
     n_target, constants = scale

@@ -167,10 +167,11 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     (``mc_divergences``) takes the whole stack in one call.
 
     A family without a sufficient statistic (``softmax_regression``) is
-    rejected with UnsupportedFamilyError, and an ``n_target`` or quantity
-    that is not a whole number with ValueError, before any trial runs. A
-    failing trial re-raises its own exception, with the trial index in a
-    ``trial`` attribute and a ``trial i:`` prefix on the message.
+    rejected with UnsupportedFamilyError, and an ``n_target``, quantity or
+    trial count that is not a whole number with ValueError, before any
+    trial runs. A failing trial re-raises its own exception, with the
+    trial index in a ``trial`` attribute and a ``trial i:`` prefix on the
+    message.
     """
     if not has_sufficient_stat(family):
         raise UnsupportedFamilyError(
@@ -181,9 +182,9 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
                for k, (p, n, w) in enumerate(sources)]
     fit = _trial_fit(family, target_params, n_target, sources)
     out = []
-    for i in range(int(trials)):
+    for i in range(whole_count(trials, "trials")):
         try:
-            out.append(fit(derive_rng(int(master_seed), *seed_prefix, i)))
+            out.append(fit(derive_rng(master_seed, *seed_prefix, i)))
         except Exception as err:
             _tag_trial(err, i)
             raise
@@ -221,7 +222,7 @@ def mc_expected_kl(ensemble, weights, quantities, trials, master_seed,
     without a closed-form divergence or a sufficient statistic is
     rejected, before any trial runs.
     """
-    trials = int(trials)
+    trials = whole_count(trials, "trials")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if not np.shape(weights) == np.shape(quantities) == (ensemble.k,):

@@ -60,8 +60,9 @@ class QpMatrix:
     """The K x K quadratic coefficient matrix M = (diag(d/N_i) + G)/d,
     derived from the direction gram G, the budgets N and the dimension d.
 
-    The gram must be finite, symmetric and positive semi-definite, and
-    every budget a whole count >= 1; ValueError otherwise.
+    The gram must be finite, symmetric and positive semi-definite, every
+    budget a whole count >= 1 and ``d`` a whole count; ValueError
+    otherwise.
     """
 
     gram: np.ndarray
@@ -82,7 +83,7 @@ class QpMatrix:
         if np.any(budgets < 1):
             raise ValueError(f"budgets must be >= 1, got {budgets.tolist()}")
         self.budgets = budgets
-        self.d = int(self.d)
+        self.d = whole_count(self.d, "d")
         self.m = (np.diag(self.d / budgets) + self.gram) / float(self.d)
 
 

@@ -11,9 +11,10 @@ The loss is the negated ``weighted_loglik`` (the objective the weighted
 MLE maximizes) normalized by the unweighted pooled sample count. Against
 the unnormalized weighted likelihood this only rescales the gradient, so
 it is a learning-rate convention, not a different objective. A step takes
-the loss and its gradient together from one forward pass per data block
-with positive weight; a zero-weight block is not evaluated, so every
-source block is checked once on entry instead.
+the loss and its gradient together from ``weighted_loss_gradient``, one
+forward pass per data block with positive weight; a zero-weight block is
+not evaluated, so every source block is checked once on entry instead.
+Training starts at ``weighted_mle.search_start``, as Newton does.
 """
 
 from contextlib import contextmanager
@@ -21,15 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, TransferOptError
+from .errors import ConvergenceError, ParameterError, TransferOptError
+from .families import whole_count
 from .fisher import projected_gram
 from .planner import QpMatrix, optimal_plan
-from .weighted_mle import fit_weighted_mle, weighted_loglik
+from .weighted_mle import fit_weighted_mle, search_start, weighted_loglik
 
 __all__ = [
     "TrainConfig",
     "TrainTrace",
-    "weighted_loss",
     "weighted_loss_gradient",
     "train_multi_source",
     "train_multi_task",
@@ -48,6 +49,9 @@ class TrainConfig:
     ridge: float = 0.0
 
     def __post_init__(self):
+        self.epochs = whole_count(self.epochs, "epochs", ParameterError)
+        self.weight_update_period = whole_count(
+            self.weight_update_period, "weight update period", ParameterError)
         if self.learning_rate <= 0:
             raise ParameterError("learning rate must be positive")
         if self.epochs < 1:
@@ -115,43 +119,20 @@ class TrainTrace:
         }
 
 
-def _pool_count(family, target_data, source_data):
-    n = family.n_samples(target_data)
-    for block in source_data:
-        n += family.n_samples(block)
-    return n
-
-
-def _loss_and_gradient(family, theta, target_data, source_data, weights,
-                       ridge):
-    """The pooled weighted loss and its gradient plus ``2*ridge*theta``:
-    ``weighted_loglik`` negated and divided by the pooled count."""
-    if family.n_samples(target_data) == 0:
+def weighted_loss_gradient(family, theta, target, sources, weights,
+                           ridge=0.0):
+    """``(loss, gradient)``: ``weighted_loglik`` negated and divided by the
+    unweighted pooled sample count, and its gradient plus
+    ``2*ridge*theta`` (the loss has no ridge term)."""
+    n = family.n_samples(target)
+    if n == 0:
         raise ParameterError("target data must be nonempty")
-    loglik, score = weighted_loglik(family, theta, target_data, source_data,
-                                    weights)
-    n = _pool_count(family, target_data, source_data)
+    loglik, score = weighted_loglik(family, theta, target, sources, weights)
+    n += sum(family.n_samples(block) for block in sources)
     g = -score / n
     if ridge:
         g = g + 2.0 * float(ridge) * np.asarray(theta, dtype=float)
     return -loglik / n, g
-
-
-def weighted_loss(family, theta, target_data, source_data, weights):
-    """Pooled negative log likelihood with per-source weights.
-
-    Equals [sum of target losses + sum_k w_k * (sum of source-k losses)]
-    divided by the unweighted pooled sample count.
-    """
-    return _loss_and_gradient(family, theta, target_data, source_data,
-                              weights, 0.0)[0]
-
-
-def weighted_loss_gradient(family, theta, target_data, source_data, weights,
-                           ridge=0.0):
-    """Gradient of the pooled weighted loss, plus ``2*ridge*theta``."""
-    return _loss_and_gradient(family, theta, target_data, source_data,
-                              weights, ridge)[1]
 
 
 def holdout_metrics(family, theta, holdout_data):
@@ -176,10 +157,15 @@ def pretrain_params(family, samples, ridge=0.0):
     return fit_weighted_mle(family, samples, ridge=ridge)
 
 
-def _replan(family, theta, target_data, source_params, budgets, n_target, d):
+def _replan(family, theta, target_data, source_params, budgets, n_target):
     directions = np.stack([p - theta for p in source_params], axis=1)
     gram = projected_gram(family, theta, target_data, directions)
-    return optimal_plan(QpMatrix(gram, budgets, d), n_target=n_target).weights
+    qp = QpMatrix(gram, budgets, family.dim)
+    return optimal_plan(qp, n_target=n_target).weights
+
+
+def _at(epoch, task):
+    return ("" if task is None else f" for task {task}") + f" at epoch {epoch}"
 
 
 @contextmanager
@@ -189,21 +175,28 @@ def _replan_failure(epoch, task=None):
     try:
         yield
     except TransferOptError as err:
-        where = "" if task is None else f" for task {task}"
         err.epoch = epoch
-        err.args = (f"plan update failed{where} at epoch {epoch}: {err}",)
+        err.args = (f"plan update failed{_at(epoch, task)}: {err}",)
         raise
 
 
 def _step(family, cfg, theta, target_data, source_data, weights, holdout,
-          trace, epoch, logged_weights):
+          trace, epoch, logged_weights, task=None):
     """One gradient step, recorded in ``trace`` with ``logged_weights``;
-    returns the new iterate and the step's norm."""
-    loss, grad = _loss_and_gradient(family, theta, target_data, source_data,
-                                    weights, cfg.ridge)
+    returns the new iterate and the step's norm. An iterate off the
+    parameter space raises ConvergenceError, ``last_iterate`` the old one."""
+    loss, grad = weighted_loss_gradient(family, theta, target_data,
+                                        source_data, weights, cfg.ridge)
+    grad_norm = float(np.linalg.norm(grad))
     new_theta = theta - cfg.learning_rate * grad
+    try:
+        family.validate(new_theta)
+    except ParameterError as err:
+        raise ConvergenceError(
+            f"step left the parameter space{_at(epoch, task)}: {err}",
+            last_iterate=theta, residual=grad_norm) from err
     nll, acc = holdout_metrics(family, new_theta, holdout)
-    trace.add(epoch, loss, logged_weights, np.linalg.norm(grad), nll, acc)
+    trace.add(epoch, loss, logged_weights, grad_norm, nll, acc)
     return new_theta, float(np.linalg.norm(new_theta - theta))
 
 
@@ -220,7 +213,7 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
 
     A failing re-plan re-raises its own exception, with the epoch in an
     ``epoch`` attribute and a ``plan update failed at epoch N:`` prefix on
-    the message.
+    the message; a step off the parameter space raises ConvergenceError.
     """
     k = len(source_data)
     if len(source_params) != k:
@@ -235,9 +228,8 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
     for block in source_data:
         # a step skips zero-weight blocks, so each is checked here, once
         family.check_batch(block)
-    d = family.dim
 
-    theta = np.zeros(d)
+    theta = search_start(family)
     weights = np.zeros(k)
     trace = TrainTrace()
     for epoch in range(1, cfg.epochs + 1):
@@ -249,7 +241,7 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
         if k > 0 and epoch < cfg.epochs and epoch % cfg.weight_update_period == 0:
             with _replan_failure(epoch):
                 weights = _replan(family, theta, target_data, source_params,
-                                  budgets, n0, d)
+                                  budgets, n0)
     trace.final_theta = theta
     return trace
 
@@ -261,8 +253,8 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
     recent parameters of the others. Each task owns a weight vector over
     all tasks (its own entry pinned at zero) and re-plans at the end of
     its turn every period. Returns one trace per task. A failing re-plan
-    is re-raised as in ``train_multi_source``, with ``for task T`` in the
-    message prefix.
+    or a step off the parameter space is raised as in
+    ``train_multi_source``, with ``for task T`` in the message prefix.
     """
     k = len(datasets)
     if k < 2:
@@ -272,9 +264,8 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
     counts = [family.n_samples(ds) for ds in datasets]
     if min(counts) == 0:
         raise ParameterError("every task needs data")
-    d = family.dim
 
-    thetas = [np.zeros(d) for _ in range(k)]
+    thetas = [search_start(family) for _ in range(k)]
     weight_rows = [np.zeros(k) for _ in range(k)]
     traces = [TrainTrace() for _ in range(k)]
 
@@ -286,7 +277,7 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
             thetas[task], step_norm = _step(
                 family, cfg, thetas[task], datasets[task], src_data,
                 weight_rows[task][others], holdouts[task], traces[task],
-                epoch, weight_rows[task])
+                epoch, weight_rows[task], task)
             if step_norm > CONVERGENCE_NORM:
                 all_small = False
             if epoch < cfg.epochs and epoch % cfg.weight_update_period == 0:
@@ -295,7 +286,7 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
                         family, thetas[task], datasets[task],
                         [thetas[j] for j in others],
                         np.array([counts[j] for j in others], dtype=float),
-                        counts[task], d)
+                        counts[task])
                 row = np.zeros(k)
                 row[others] = planned
                 weight_rows[task] = row

@@ -24,6 +24,7 @@ __all__ = [
     "fit_weighted_mle",
     "fit_sufficient",
     "has_sufficient_stat",
+    "search_start",
     "weighted_loglik",
     "weighted_loglik_grad",
 ]
@@ -109,12 +110,16 @@ def _closed_form_gaussian(total, mass):
     return total / mass
 
 
-def _newton(family, target, sources, weights, ridge):
+def search_start(family):
+    """Where every parameter search starts, Newton's and the trainers':
+    the uniform distribution for ``categorical``, else zeros."""
     if isinstance(family, Categorical):
-        # start strictly inside the simplex
-        theta = np.full(family.dim, 1.0 / family.num_outcomes)
-    else:
-        theta = np.zeros(family.dim)
+        return np.full(family.dim, 1.0 / family.num_outcomes)
+    return np.zeros(family.dim)
+
+
+def _newton(family, target, sources, weights, ridge):
+    theta = search_start(family)
     blocks = _weighted_blocks(target, sources, weights)
     g = weighted_loglik_grad(family, theta, target, sources, weights, ridge)
     for _ in range(NEWTON_MAX_ITER):

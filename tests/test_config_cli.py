@@ -936,3 +936,88 @@ def test_bundled_two_task_training_writes_both_traces(tmp_path, capsys):
     # same data-generating params, so the runs end close to each other
     assert traces[0]["final_loss"] == pytest.approx(traces[1]["final_loss"],
                                                     abs=0.1)
+
+
+_CAT_TRAIN = {
+    "mode": "multi_source",
+    "family": {"name": "categorical", "params": {"num_outcomes": 3}},
+    "target": {"params": [0.3, 0.4], "n": 50},
+    "sources": [{"params": [0.32, 0.41], "n": 200}],
+    "holdout_n": 100,
+    "train": {"learning_rate": 0.1, "epochs": 20},
+}
+
+_CAT_TASKS = {
+    "mode": "multi_task",
+    "family": {"name": "categorical", "params": {"num_outcomes": 3}},
+    "tasks": [{"params": [0.3, 0.4], "n": 50},
+              {"params": [0.35, 0.4], "n": 80}],
+    "holdout_n": 100,
+    "train": {"learning_rate": 0.1, "epochs": 20},
+}
+
+
+@pytest.mark.parametrize("config", [_CAT_TRAIN, _CAT_TASKS],
+                         ids=["multi_source", "multi_task"])
+def test_categorical_training_runs_and_reruns_byte_identical(config, tmp_path,
+                                                             capsys):
+    """Training started at zeros, off the simplex: exit 2 at epoch 1."""
+    path = write_cfg(tmp_path, config)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["train", "--config", path, "--out", str(out)],
+                   capsys)[0] == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "report.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_a_diverging_step_exits_3_naming_the_epoch(tmp_path, capsys):
+    config = dict(_CAT_TRAIN, train={"learning_rate": 5.0, "epochs": 20})
+    rc, _, err = run(["train", "--config", write_cfg(tmp_path, config),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 3
+    assert err.startswith("numerical failure: step left the parameter space "
+                          "at epoch 2: probabilities must stay inside")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_whole_float_epochs_train(tmp_path, capsys):
+    """The schema takes 2.0 as an integer; range() rejected it (exit 1)."""
+    config = dict(_TRAIN, train=dict(_TRAIN["train"], epochs=2.0))
+    rc, _, _ = run(["train", "--config", write_cfg(tmp_path, config),
+                    "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    assert load_json(tmp_path / "report.json")["results"]["trace"][
+        "epochs_run"] == 2
+
+
+def test_a_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
+    """LinAlgError is a ValueError, so it was caught as a config error."""
+    def no_eigenvalues(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("transferopt.cli.optimal_plan", no_eigenvalues)
+    rc, _, err = run(["weights", "--config",
+                      str(CONFIGS / "weights_golden.json"),
+                      "--out", str(tmp_path)], capsys)
+    assert rc == 3
+    assert err.startswith("numerical failure: Eigenvalues did not converge")
+
+
+def test_a_grid_with_step_and_count_exits_2(tmp_path, capsys):
+    """``count`` was silently ignored beside ``step``."""
+    grid = {"start": 0, "stop": 1, "step": 0.5, "count": 5}
+    sweep = dict(load_json(CONFIGS / "sweep_weight.json"), grid=grid)
+    check = load_json(CONFIGS / "simulate_check_weight.json")
+    check["config"]["grid"] = grid
+    for command, config, field in (("sweep", sweep, "/grid"),
+                                   ("simulate", check, "/config/grid")):
+        rc, _, err = run([command, "--config", write_cfg(tmp_path, config),
+                          "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2
+        assert err.startswith(f"config error at {field}: ")
+        assert not (tmp_path / "out" / "report.json").exists()
+    with pytest.raises(ConfigError, match="step or count, not both"):
+        transferopt.harness.resolve_grid(grid)

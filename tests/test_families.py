@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from transferopt import ParameterError, SupportError, families, get_family
+from transferopt import (ConfigError, ParameterError, SupportError,
+                         TrainConfig, families, get_family)
 from transferopt.fisher import projected_gram
+from transferopt.harness import build_ensemble, resolve_grid
+from transferopt.kl import mc_expected_kl, mc_fits
+from transferopt.planner import QpMatrix
 from transferopt.rng import derive_rng
 from transferopt.weighted_mle import fit_weighted_mle
 
@@ -111,6 +115,56 @@ def test_samplers_never_truncate_a_count(cat3, gauss3, softmax23, n):
     for draw in draws:
         with pytest.raises(ValueError, match="whole count|nonnegative"):
             draw()
+
+
+def _ensemble(n_target=100, budget=250, direction_seed=1, master_seed=3):
+    cat3 = families.Categorical(3)
+    config = {"target_params": [0.3, 0.4], "n_target": n_target,
+              "sources": [{"c": 1.0, "budget": budget,
+                           "direction_seed": direction_seed}]}
+    return build_ensemble(cat3, config, master_seed)
+
+
+_TH = np.array([0.3, 0.4])
+
+_NOT_WHOLE = {
+    "epochs": (lambda: TrainConfig(learning_rate=1.0, epochs=5.5),
+               ParameterError),
+    "weight-update-period": (lambda: TrainConfig(
+        learning_rate=1.0, epochs=5, weight_update_period=1.5),
+        ParameterError),
+    "n_target": (lambda: _ensemble(n_target=100.7), ParameterError),
+    "budget": (lambda: _ensemble(budget=250.5), ParameterError),
+    "direction-seed": (lambda: _ensemble(direction_seed=1.5), ValueError),
+    "ensemble-seed": (lambda: _ensemble(master_seed=3.9), ValueError),
+    "mc-trials": (lambda: mc_expected_kl(_ensemble(), [0.5], [250], 10.7, 3),
+                  ValueError),
+    "mc-seed": (lambda: mc_expected_kl(_ensemble(), [0.5], [250], 10, 3.9),
+                ValueError),
+    "fit-trials": (lambda: mc_fits(families.Categorical(3), _TH, 100, [],
+                                   10.7, 3), ValueError),
+    "sample-seed": (lambda: families.Categorical(3).sample(_TH, 10, 3.9),
+                    ValueError),
+    "grid-count": (lambda: resolve_grid({"start": 0, "stop": 1,
+                                         "count": 2.5}), ConfigError),
+    "num_outcomes": (lambda: families.Categorical(2.5), ParameterError),
+    "dim": (lambda: families.GaussianIso(2.7), ParameterError),
+    "feature_dim": (lambda: families.SoftmaxRegression(2.5, 3),
+                    ParameterError),
+    "num_classes": (lambda: families.SoftmaxRegression(2, 3.5),
+                    ParameterError),
+    "qp-d": (lambda: QpMatrix(np.eye(2), [100, 100], d=2.5), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_WHOLE))
+def test_no_count_or_seed_is_truncated(case):
+    """Each of these was cast with int() before any check: 10.7 trials ran
+    10, dim 2.7 built dim 2, seed 3.9 drew seed 3's streams. Each module
+    raises the type it raises for any other bad count."""
+    call, error = _NOT_WHOLE[case]
+    with pytest.raises(error, match="whole"):
+        call()
 
 
 def test_a_whole_float_count_draws_what_the_int_draws(cat3, gauss3,

@@ -10,11 +10,13 @@ from transferopt import (
     RegimeError,
     SupportError,
     TrainConfig,
+    fit_weighted_mle,
     get_family,
     train_multi_source,
     train_multi_task,
-    weighted_loss,
 )
+from transferopt import trainer as trainer_mod
+from transferopt import weighted_mle
 from transferopt.fisher import projected_gram
 from transferopt.planner import QpMatrix, optimal_plan
 from transferopt.rng import derive_rng
@@ -57,19 +59,21 @@ def test_weighted_loss_hand_cases(cat3):
     src = np.array([2, 2, 0])
     # zero weight: target nll over the pooled count
     want0 = -(np.log(0.3) + np.log(0.4)) / 5.0
-    assert abs(weighted_loss(cat3, theta, target, [src], [0.0]) - want0) <= 1e-15
+    got0 = weighted_loss_gradient(cat3, theta, target, [src], [0.0])[0]
+    assert abs(got0 - want0) <= 1e-15
     # unit weight: plain pooled mean nll
     pooled = np.array([0, 1, 2, 2, 0])
     want1 = -cat3.log_density_batch(theta, pooled).mean()
-    got1 = weighted_loss(cat3, theta, target, [src], [1.0])
+    got1 = weighted_loss_gradient(cat3, theta, target, [src], [1.0])[0]
     assert abs(got1 - want1) <= 1e-15
     # half weight, by hand
     want_h = -(np.log(0.3) + np.log(0.4)
                + 0.5 * (2 * np.log(0.3) + np.log(0.3))) / 5.0
-    got_h = weighted_loss(cat3, theta, target, [src], [0.5])
+    got_h = weighted_loss_gradient(cat3, theta, target, [src], [0.5])[0]
     assert abs(got_h - want_h) <= 1e-12
     with pytest.raises(ParameterError):
-        weighted_loss(cat3, theta, np.array([], dtype=int), [src], [0.5])
+        weighted_loss_gradient(cat3, theta, np.array([], dtype=int), [src],
+                               [0.5])
 
 
 def test_a_malformed_source_block_fails_before_the_first_step(monkeypatch):
@@ -93,9 +97,10 @@ def test_loss_gradient_matches_finite_differences():
     theta = 0.3 * rng.standard_normal(FAM.dim)
     target = FAM.sample(TH_TRUE, 30, derive_rng(1, 0))
     src = FAM.sample(TH_OFF, 20, derive_rng(1, 1))
-    g = weighted_loss_gradient(FAM, theta, target, [src], [0.8], ridge=0.01)
+    g = weighted_loss_gradient(FAM, theta, target, [src], [0.8],
+                               ridge=0.01)[1]
     fd = fd_gradient(
-        lambda th: weighted_loss(FAM, th, target, [src], [0.8])
+        lambda th: weighted_loss_gradient(FAM, th, target, [src], [0.8])[0]
         + 0.01 * float(th @ th), theta)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
@@ -108,7 +113,7 @@ def test_single_epoch_is_one_target_only_step():
     assert len(trace.records) == 1
     assert np.array_equal(trace.records[0]["weights"], [0.0])
     g = weighted_loss_gradient(FAM, np.zeros(FAM.dim), target, [relevant],
-                               [0.0], ridge=1e-6)
+                               [0.0], ridge=1e-6)[1]
     want = -2.0 * g
     assert np.array_equal(trace.final_theta, want)
 
@@ -120,9 +125,9 @@ def test_no_source_training_is_plain_gradient_descent():
 
     theta = np.zeros(FAM.dim)
     for rec in trace.records:
-        loss = weighted_loss(FAM, theta, target, [], [])
+        loss = weighted_loss_gradient(FAM, theta, target, [], [])[0]
         assert rec["loss"] == loss
-        g = weighted_loss_gradient(FAM, theta, target, [], [], ridge=1e-5)
+        g = weighted_loss_gradient(FAM, theta, target, [], [], ridge=1e-5)[1]
         theta = theta - 1.5 * g
     assert np.array_equal(trace.final_theta, theta)
     assert trace.stop_reason in ("epochs", "converged")
@@ -144,7 +149,7 @@ def test_replanned_weights_match_a_replay():
     for epoch, rec in enumerate(trace.records, start=1):
         assert np.array_equal(rec["weights"], weights)
         g = weighted_loss_gradient(FAM, theta, target, [relevant, irrelevant],
-                                   weights, ridge=1e-6)
+                                   weights, ridge=1e-6)[1]
         theta = theta - 2.0 * g
         if epoch < cfg.epochs:
             dirs = np.stack([p - theta for p in pre], axis=1)
@@ -194,7 +199,7 @@ def test_convergence_stop_reason():
     assert len(trace.records) < 100000
     assert float(np.linalg.norm(
         1.0 * weighted_loss_gradient(FAM, trace.final_theta, target, [], [],
-                                     ridge=0.1))) <= 1e-7
+                                     ridge=0.1)[1])) <= 1e-7
 
 
 def test_plan_failure_carries_the_epoch(monkeypatch):
@@ -343,3 +348,81 @@ def test_trace_rows_and_payload():
     assert payload["epochs_run"] == 3
     assert payload["final_weights"] == [float(trace.final_weights[0])]
     assert len(payload["final_theta"]) == FAM.dim
+
+
+def _count_loss_calls(monkeypatch):
+    calls = []
+    real = trainer_mod.weighted_loss_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("transferopt.trainer.weighted_loss_gradient", counted)
+    return calls
+
+
+def test_every_recorded_epoch_evaluates_the_loss_once(monkeypatch):
+    """The step reaches the loss through the module attribute, so a
+    wrapper around ``trainer.weighted_loss_gradient`` sees every step."""
+    target, relevant, irrelevant, _ = make_data(11, n_source=200)
+    cfg = TrainConfig(learning_rate=2.0, epochs=4, ridge=1e-6)
+    pre = [pretrain_params(FAM, relevant, ridge=1e-6)]
+    calls = _count_loss_calls(monkeypatch)
+    trace = train_multi_source(FAM, target, [relevant], pre, cfg)
+    assert len(calls) == len(trace.records) == 4
+    calls.clear()
+    traces = train_multi_task(FAM, [target, relevant, irrelevant], cfg)
+    assert len(calls) == sum(len(t.records) for t in traces) == 12
+
+
+def test_training_starts_where_newton_starts(cat3, monkeypatch):
+    """Both trainers started at zeros, off the categorical simplex, so
+    every categorical run failed at its first step."""
+    target = cat3.sample(np.array([0.3, 0.4]), 40, derive_rng(13, 0))
+    starts = []
+    real = weighted_mle.weighted_loglik_grad
+
+    def first_point(family, theta, *args, **kwargs):
+        starts.append(np.array(theta))
+        return real(family, theta, *args, **kwargs)
+
+    monkeypatch.setattr(weighted_mle, "weighted_loglik_grad", first_point)
+    fit_weighted_mle(cat3, target, ridge=0.1)  # a ridge sends it to Newton
+    monkeypatch.undo()
+    cfg = TrainConfig(learning_rate=0.1, epochs=1)
+    trace = train_multi_source(cat3, target, [], [], cfg)
+    want = weighted_loss_gradient(cat3, starts[0], target, [], [])[0]
+    assert trace.records[0]["loss"] == want
+    assert want == pytest.approx(np.log(3.0), rel=1e-15)  # uniform start
+
+
+def test_a_step_off_the_simplex_is_a_convergence_error(cat3, monkeypatch):
+    """The bad iterate used to reach the holdout metrics, which raised a
+    ParameterError naming neither an epoch nor a field (exit 2)."""
+    target = cat3.sample(np.array([0.3, 0.4]), 50, derive_rng(21, 0))
+    source = cat3.sample(np.array([0.32, 0.41]), 200, derive_rng(21, 1))
+    holdout = cat3.sample(np.array([0.3, 0.4]), 100, derive_rng(21, 9))
+    pre = [pretrain_params(cat3, source)]
+    cfg = TrainConfig(learning_rate=5.0, epochs=20)
+    evaluated = []
+    real = trainer_mod.holdout_metrics
+    monkeypatch.setattr(trainer_mod, "holdout_metrics",
+                        lambda fam, th, data: evaluated.append(th)
+                        or real(fam, th, data))
+    with pytest.raises(ConvergenceError,
+                       match=r"^step left the parameter space at epoch 2: "
+                             r"probabilities must stay inside the simplex"
+                       ) as info:
+        train_multi_source(cat3, target, [source], pre, cfg,
+                           holdout_data=holdout)
+    assert len(evaluated) == 1
+    before = train_multi_source(cat3, target, [source], pre,
+                                TrainConfig(learning_rate=5.0, epochs=1))
+    assert np.array_equal(info.value.last_iterate, before.final_theta)
+    with pytest.raises(ConvergenceError,
+                       match=r"^step left the parameter space for task 1 at "
+                             r"epoch 1: ") as info:
+        train_multi_task(cat3, [target, source], cfg)
+    assert np.array_equal(info.value.last_iterate,
+                          weighted_mle.search_start(cat3))

@@ -8,7 +8,7 @@ from transferopt import ConvergenceError, fit_weighted_mle, get_family
 from transferopt import weighted_mle
 from transferopt.families import SoftmaxRegression
 from transferopt.rng import derive_rng
-from transferopt.trainer import weighted_loss, weighted_loss_gradient
+from transferopt.trainer import weighted_loss_gradient
 from transferopt.weighted_mle import weighted_loglik, weighted_loglik_grad
 
 from helpers import fd_gradient, weighted_loglik_oracle
@@ -210,7 +210,6 @@ def test_one_weight_per_source_block(cat3, weights):
     target, src = np.array([0, 1]), np.array([2, 2, 0])
     calls = [lambda: fit_weighted_mle(cat3, target, [src, src], weights),
              lambda: weighted_loglik(cat3, theta, target, [src, src], weights),
-             lambda: weighted_loss(cat3, theta, target, [src, src], weights),
              lambda: weighted_loss_gradient(cat3, theta, target, [src, src],
                                             weights)]
     for call in calls:
