@@ -123,16 +123,7 @@ class Categorical:
                 f"categorical({self.num_outcomes}) expects {self.dim} free "
                 f"probabilities, got shape {th.shape}"
             )
-        if not np.isfinite(th).all():
-            raise ParameterError("parameters must be finite")
-        last = 1.0 - th.sum()
-        lo = 0.0 if for_sampling else INTERIOR_FLOOR
-        # tiny negative slack absorbs float roundoff in the implied entry
-        if th.min() < lo - 1e-15 or last < lo - 1e-15:
-            raise ParameterError(
-                "probabilities must stay inside the simplex "
-                f"(floor {lo}); got {th} with implied last {last}"
-            )
+        self._simplex_probs(th, 0.0 if for_sampling else INTERIOR_FLOOR)
         return th
 
     def probs(self, theta):
@@ -199,12 +190,13 @@ class Categorical:
         p_last = 1.0 - th.sum()
         return np.diag(1.0 / th) + 1.0 / p_last
 
-    def _interior_probs(self, theta):
+    def _simplex_probs(self, theta, floor):
         """Full probability rows ``(T, num_outcomes)`` of one parameter
         vector or a ``(T, dim)`` stack, every row checked in one pass.
 
-        A row that is non-finite or off the interior simplex raises
-        ParameterError with the first such row's index in ``row``.
+        A row that is non-finite or has a probability below ``floor`` (to
+        a slack of 1e-15 for roundoff in the implied entry) raises
+        ParameterError; for a stack, ``row`` holds the first such row.
         """
         rows = _param_rows(theta, self.dim, f"categorical({self.num_outcomes}) "
                                             "free probabilities")
@@ -212,15 +204,15 @@ class Categorical:
         # on the rows stacked with it
         last = 1.0 - np.cumsum(rows, axis=1)[:, -1]
         finite = np.isfinite(rows).all(axis=1)
-        lo = INTERIOR_FLOOR - 1e-15
+        lo = floor - 1e-15
         bad = ~finite | (rows.min(axis=1) < lo) | (last < lo)
         if bad.any():
             i = int(bad.argmax())
             raise ParameterError(
                 "parameters must be finite" if not finite[i] else
                 "probabilities must stay inside the simplex (floor "
-                f"{INTERIOR_FLOOR}); got {rows[i]} with implied last {last[i]}",
-                row=i,
+                f"{floor}); got {rows[i]} with implied last {last[i]}",
+                row=i if np.ndim(theta) == 2 else None,
             )
         return np.column_stack((rows, last))
 
@@ -229,12 +221,12 @@ class Categorical:
 
         ``theta_q`` is one parameter vector, giving a float, or a ``(T,
         dim)`` stack, giving one divergence per row; a stack is checked
-        and measured in one array pass (see ``_interior_probs``).
+        and measured in one array pass (see ``_simplex_probs``).
         ``theta_p`` may sit on the simplex boundary.
         """
         th = self.validate(theta_p, for_sampling=True)
         p = np.append(th, 1.0 - np.sum(th))
-        q = self._interior_probs(theta_q)
+        q = self._simplex_probs(theta_q, INTERIOR_FLOOR)
         mask = p > 0
         terms = p[mask] * np.log(p[mask] / q[:, mask])
         div = np.cumsum(terms, axis=1)[:, -1]

@@ -176,15 +176,6 @@ def resolve_grid(spec, integer=False):
     return grid
 
 
-def _unit_direction(rng, dim):
-    for _ in range(_MAX_DIRECTION_DRAWS):
-        u = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(u))
-        if norm > 1e-12:
-            return u / norm
-    raise RegimeError("could not draw a direction vector")
-
-
 def _draw_source_params(family, target_params, c, n_target, direction_seed,
                         master_seed):
     if c < 0:
@@ -192,12 +183,13 @@ def _draw_source_params(family, target_params, c, n_target, direction_seed,
     rng = derive_rng(master_seed, direction_seed)
     radius = c / np.sqrt(float(n_target))
     for _ in range(_MAX_DIRECTION_DRAWS):
-        u = _unit_direction(rng, family.dim)
-        candidate = target_params + radius * u
+        u = rng.standard_normal(family.dim)
+        norm = float(np.linalg.norm(u))
         try:
-            return family.validate(candidate)
+            if norm > 1e-12:
+                return family.validate(target_params + radius * (u / norm))
         except ParameterError:
-            continue
+            pass
     raise RegimeError(
         f"no valid source parameters at distance {radius} from the target "
         f"after {_MAX_DIRECTION_DRAWS} draws; the distance constant "
@@ -252,7 +244,8 @@ def source_scalars(ensemble):
 
 
 def _check_source_index(index, k):
-    idx = int(index)
+    idx = whole_count(index, "source index",
+                      partial(ConfigError, field="/source_index"))
     if not 0 <= idx < k:
         raise ConfigError(f"source index {index} out of range for {k} sources",
                           field="/source_index")

@@ -167,9 +167,9 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     (``mc_divergences``) takes the whole stack in one call.
 
     A family without a sufficient statistic (``softmax_regression``) is
-    rejected with UnsupportedFamilyError, and an ``n_target``, quantity or
-    trial count that is not a whole number with ValueError, before any
-    trial runs. A failing trial re-raises its own exception, with the
+    rejected with UnsupportedFamilyError, and an ``n_target``, quantity,
+    trial count or seed that is not a whole number with ValueError, before
+    any trial runs. A failing trial re-raises its own exception, with the
     trial index in a ``trial`` attribute and a ``trial i:`` prefix on the
     message.
     """
@@ -183,8 +183,9 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     fit = _trial_fit(family, target_params, n_target, sources)
     out = []
     for i in range(whole_count(trials, "trials")):
+        rng = derive_rng(master_seed, *seed_prefix, i)
         try:
-            out.append(fit(derive_rng(master_seed, *seed_prefix, i)))
+            out.append(fit(rng))
         except Exception as err:
             _tag_trial(err, i)
             raise

@@ -4,8 +4,8 @@ Multi-source mode: gradient descent on a weighted pooled loss, where after
 each epoch (or each configured period) the plan is recomputed from the
 displacement of each pretrained source model to the current iterate and an
 empirical information gram over the target data. The first epoch always
-runs target-only, since weights start at zero. Multi-task mode runs the
-same loop round-robin, every task treating the others as its sources.
+runs target-only, since weights start at zero. Multi-task mode is the
+same round-robin loop with every task a learner and the others its sources.
 
 The loss is the negated ``weighted_loglik`` (the objective the weighted
 MLE maximizes) normalized by the unweighted pooled sample count. Against
@@ -158,8 +158,13 @@ def pretrain_params(family, samples, ridge=0.0):
 
 
 def _replan(family, theta, target_data, source_params, budgets, n_target):
+    """Plan weights at ``theta``; an overflowing gram is a ConvergenceError."""
     directions = np.stack([p - theta for p in source_params], axis=1)
-    gram = projected_gram(family, theta, target_data, directions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = projected_gram(family, theta, target_data, directions)
+    if not np.isfinite(gram).all():
+        raise ConvergenceError("information gram is not finite",
+                               last_iterate=theta)
     qp = QpMatrix(gram, budgets, family.dim)
     return optimal_plan(qp, n_target=n_target).weights
 
@@ -200,6 +205,43 @@ def _step(family, cfg, theta, target_data, source_data, weights, holdout,
     return new_theta, float(np.linalg.norm(new_theta - theta))
 
 
+def _round_robin(family, cfg, datasets, holdouts, sources=None):
+    """One learner per dataset, each stepping on its own data in turn and
+    re-planning its weights over every other pool block from the pool's
+    parameters as they stand at its turn; returns the traces. The pool is
+    ``sources``, fixed ``(blocks, parameters)``, or else the learners
+    themselves, live. Stops right after the step that makes every step of
+    an epoch small."""
+    n = len(datasets)
+    thetas = [search_start(family) for _ in range(n)]
+    pool, params = (datasets, thetas) if sources is None else sources
+    counts = np.array([family.n_samples(b) for b in pool], dtype=float)
+    rows = [np.zeros(len(pool)) for _ in range(n)]
+    traces = [TrainTrace() for _ in range(n)]
+    for epoch in range(1, cfg.epochs + 1):
+        small = 0
+        for t, data in enumerate(datasets):
+            task = t if n > 1 else None
+            src = [j for j in range(len(pool)) if sources is not None or j != t]
+            thetas[t], step_norm = _step(
+                family, cfg, thetas[t], data, [pool[j] for j in src],
+                rows[t][src], holdouts[t], traces[t], epoch, rows[t], task)
+            small += step_norm <= CONVERGENCE_NORM
+            if (small < n and src and epoch < cfg.epochs
+                    and epoch % cfg.weight_update_period == 0):
+                with _replan_failure(epoch, task):
+                    rows[t][src] = _replan(
+                        family, thetas[t], data, [params[j] for j in src],
+                        counts[src], family.n_samples(data))
+        if small == n:
+            for trace in traces:
+                trace.stop_reason = "converged"
+            break
+    for trace, theta in zip(traces, thetas):
+        trace.final_theta = theta
+    return traces
+
+
 def train_multi_source(family, target_data, source_data, source_params, cfg,
                        holdout_data=None):
     """Target training with dynamically re-planned source weights.
@@ -210,40 +252,25 @@ def train_multi_source(family, target_data, source_data, source_params, cfg,
     with a plan recomputation from the current displacements and an
     empirical information gram over the target data. With no sources this
     is plain regularized gradient descent, which doubles as the baseline.
+    This is the one-learner case of the round-robin loop.
 
     A failing re-plan re-raises its own exception, with the epoch in an
     ``epoch`` attribute and a ``plan update failed at epoch N:`` prefix on
-    the message; a step off the parameter space raises ConvergenceError.
+    the message; a step off the parameter space, or a re-plan whose
+    information gram overflows, raises ConvergenceError.
     """
-    k = len(source_data)
-    if len(source_params) != k:
+    if len(source_params) != len(source_data):
         raise ParameterError("need one parameter vector per source block")
     source_params = [family.validate(p) for p in source_params]
-    n0 = family.n_samples(target_data)
-    if n0 == 0:
+    if family.n_samples(target_data) == 0:
         raise ParameterError("target data must be nonempty")
-    budgets = np.array([family.n_samples(b) for b in source_data], dtype=float)
-    if np.any(budgets < 1):
+    if any(family.n_samples(b) < 1 for b in source_data):
         raise ParameterError("source blocks must be nonempty")
     for block in source_data:
         # a step skips zero-weight blocks, so each is checked here, once
         family.check_batch(block)
-
-    theta = search_start(family)
-    weights = np.zeros(k)
-    trace = TrainTrace()
-    for epoch in range(1, cfg.epochs + 1):
-        theta, step_norm = _step(family, cfg, theta, target_data, source_data,
-                                 weights, holdout_data, trace, epoch, weights)
-        if step_norm <= CONVERGENCE_NORM:
-            trace.stop_reason = "converged"
-            break
-        if k > 0 and epoch < cfg.epochs and epoch % cfg.weight_update_period == 0:
-            with _replan_failure(epoch):
-                weights = _replan(family, theta, target_data, source_params,
-                                  budgets, n0)
-    trace.final_theta = theta
-    return trace
+    return _round_robin(family, cfg, [target_data], [holdout_data],
+                        (source_data, source_params))[0]
 
 
 def train_multi_task(family, datasets, cfg, holdouts=None):
@@ -252,49 +279,19 @@ def train_multi_task(family, datasets, cfg, holdouts=None):
     Tasks update sequentially within an outer epoch, each seeing the most
     recent parameters of the others. Each task owns a weight vector over
     all tasks (its own entry pinned at zero) and re-plans at the end of
-    its turn every period. Returns one trace per task. A failing re-plan
-    or a step off the parameter space is raised as in
-    ``train_multi_source``, with ``for task T`` in the message prefix.
+    its turn every period. Returns one trace per task. ``holdouts`` is
+    None or one holdout set (or None) per task. A failing re-plan or a
+    step off the parameter space is raised as in ``train_multi_source``,
+    with ``for task T`` in the message prefix.
     """
     k = len(datasets)
     if k < 2:
         raise ParameterError("multi-task training needs at least two tasks")
     if holdouts is None:
         holdouts = [None] * k
-    counts = [family.n_samples(ds) for ds in datasets]
-    if min(counts) == 0:
+    elif len(holdouts) != k:
+        raise ParameterError(f"need one holdout set (or None) per task, "
+                             f"got {len(holdouts)} for {k} tasks")
+    if min(family.n_samples(ds) for ds in datasets) == 0:
         raise ParameterError("every task needs data")
-
-    thetas = [search_start(family) for _ in range(k)]
-    weight_rows = [np.zeros(k) for _ in range(k)]
-    traces = [TrainTrace() for _ in range(k)]
-
-    for epoch in range(1, cfg.epochs + 1):
-        all_small = True
-        for task in range(k):
-            others = [j for j in range(k) if j != task]
-            src_data = [datasets[j] for j in others]
-            thetas[task], step_norm = _step(
-                family, cfg, thetas[task], datasets[task], src_data,
-                weight_rows[task][others], holdouts[task], traces[task],
-                epoch, weight_rows[task], task)
-            if step_norm > CONVERGENCE_NORM:
-                all_small = False
-            if epoch < cfg.epochs and epoch % cfg.weight_update_period == 0:
-                with _replan_failure(epoch, task):
-                    planned = _replan(
-                        family, thetas[task], datasets[task],
-                        [thetas[j] for j in others],
-                        np.array([counts[j] for j in others], dtype=float),
-                        counts[task])
-                row = np.zeros(k)
-                row[others] = planned
-                weight_rows[task] = row
-        if all_small:
-            for tr in traces:
-                tr.stop_reason = "converged"
-            break
-
-    for task in range(k):
-        traces[task].final_theta = thetas[task]
-    return traces
+    return _round_robin(family, cfg, datasets, holdouts)

@@ -7,6 +7,7 @@ contract (same config+seed -> byte-identical files, any thread count).
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import transferopt.cli
 import transferopt.harness
 import transferopt.kl
+import transferopt.trainer
 from transferopt.cli import main
 from transferopt.config import COMMANDS, DEFAULTS, load_schema, validate_config
 from transferopt.errors import ConfigError
@@ -981,6 +983,63 @@ def test_a_diverging_step_exits_3_naming_the_epoch(tmp_path, capsys):
     assert err.startswith("numerical failure: step left the parameter space "
                           "at epoch 2: probabilities must stay inside")
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_an_overflowing_gram_exits_3_naming_the_epoch(tmp_path, capsys):
+    """The gram overflowed while the iterate was still finite: a
+    RuntimeWarning, then exit 2 as ``config error: gram must be finite``."""
+    config = {
+        "mode": "multi_source",
+        "family": {"name": "gaussian_iso", "params": {"dim": 2}},
+        "target": {"params": [0.1, -0.2], "n": 30},
+        "sources": [{"params": [0.3, 0.0], "n": 60}],
+        "holdout_n": 50,
+        "train": {"learning_rate": 50, "epochs": 400},
+    }
+    rc, _, err = run(["train", "--config", write_cfg(tmp_path, config),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 3
+    assert re.match(r"numerical failure: plan update failed at epoch \d+: "
+                    r"information gram is not finite\n", err)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _count_replans(monkeypatch):
+    calls = []
+    real = transferopt.trainer._replan
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr("transferopt.trainer._replan", counted)
+    return calls
+
+
+def test_a_converged_two_source_run_replans_after_every_step_but_the_last(
+        tmp_path, capsys, monkeypatch):
+    calls = _count_replans(monkeypatch)
+    rc, _, _ = run(["train", "--config", str(CONFIGS / "train_two_source.json"),
+                    "--out", str(tmp_path), "--format", "json"], capsys)
+    assert rc == 0
+    trace = load_json(tmp_path / "report.json")["results"]["trace"]
+    assert trace["stop_reason"] == "converged"
+    assert len(calls) == trace["epochs_run"] - 1
+
+
+def test_a_converged_two_task_run_replans_after_every_step_but_the_last(
+        tmp_path, capsys, monkeypatch):
+    """The last task also re-planned after the step that converged the
+    epoch, and the loop then discarded that plan."""
+    calls = _count_replans(monkeypatch)
+    rc, _, _ = run(["train", "--config", str(CONFIGS / "train_two_task.json"),
+                    "--out", str(tmp_path), "--format", "json"], capsys)
+    assert rc == 0
+    traces = load_json(tmp_path / "report.json")["results"]["traces"]
+    assert {t["stop_reason"] for t in traces} == {"converged"}
+    epochs_run = traces[0]["epochs_run"]
+    assert {t["epochs_run"] for t in traces} == {epochs_run}
+    assert len(calls) == len(traces) * epochs_run - 1
 
 
 def test_whole_float_epochs_train(tmp_path, capsys):

@@ -79,6 +79,7 @@ def test_no_module_imports_a_name_it_never_uses(path):
     ("transferopt.weighted_mle", "WeightedDataset"),
     ("transferopt.weighted_mle", "_active_blocks"),
     ("transferopt.kl", "_whole_count"),
+    ("transferopt.harness", "_unit_direction"),
 ])
 def test_removed_names_stay_removed(owner, name):
     """The block classes gave the weighted MLE a second data form beside
@@ -90,3 +91,8 @@ def test_removed_names_stay_removed(owner, name):
 def test_softmax_has_no_second_score_projection():
     # projected_gram takes score_batch(...) @ directions for every family
     assert not hasattr(transferopt.SoftmaxRegression, "score_project_batch")
+
+
+def test_categorical_has_one_simplex_check():
+    # validate and kl_divergence share _simplex_probs, which takes the floor
+    assert not hasattr(transferopt.Categorical, "_interior_probs")

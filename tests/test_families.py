@@ -399,6 +399,27 @@ def test_invalid_parameters(cat3, gauss3):
         gauss3.validate(np.zeros(2))
 
 
+def test_the_categorical_simplex_rule_names_a_row_only_for_a_stack(cat3):
+    """``validate`` checks a vector through the stack check that
+    ``kl_divergence`` uses, with the floor it asks for."""
+    off = [0.7, 0.6]
+    for for_sampling, floor in ((False, families.INTERIOR_FLOOR), (True, 0.0)):
+        with pytest.raises(ParameterError, match=(
+                rf"^probabilities must stay inside the simplex \(floor "
+                rf"{floor}\); got \[0.7 0.6\] with implied last")) as info:
+            cat3.validate(off, for_sampling=for_sampling)
+        assert info.value.row is None
+    assert cat3.validate([0.0, 0.4], for_sampling=True).tolist() == [0.0, 0.4]
+    with pytest.raises(ParameterError, match="floor 1e-09"):
+        cat3.validate([0.0, 0.4])
+    with pytest.raises(ParameterError, match="must be finite") as info:
+        cat3.kl_divergence([0.3, 0.4], [np.nan, 0.4])
+    assert info.value.row is None
+    with pytest.raises(ParameterError) as info:
+        cat3.kl_divergence([0.3, 0.4], [[0.3, 0.4], off])
+    assert info.value.row == 1
+
+
 def test_get_family_rejects_unknown_names_and_keys():
     with pytest.raises(ParameterError, match="unknown family"):
         get_family("catgorical", {"num_outcomes": 3})

@@ -214,6 +214,20 @@ def test_sweep_argument_errors(cat3):
     assert exc.value.field == "/pinned_weights"
 
 
+def test_a_fractional_source_index_is_a_config_error(cat3, monkeypatch):
+    """The index was cast with ``int``, so 0.5 swept source 0."""
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 200,
+        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0}],
+    }, 3)
+    monkeypatch.setattr("transferopt.harness.mc_expected_kl", None)
+    for index in (0.5, math.inf):
+        with pytest.raises(ConfigError, match="source index must be a whole "
+                                              "count") as exc:
+            sweep_weight(ens, index, [0.0, 1.0], 10, 3)
+        assert exc.value.field == "/source_index"
+
+
 def test_brute_force_small_cases():
     alpha, val = brute_force_simplex(np.array([[0.25]]), 0.01)
     assert np.array_equal(alpha, [1.0]) and val == 0.25

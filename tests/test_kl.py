@@ -439,6 +439,15 @@ def test_mc_takes_whole_float_counts(cat3):
                           mc_fits(cat3, th, 100, [(th, 200, 0.5)], 3, 11))
 
 
+def test_a_bad_seed_is_not_blamed_on_a_trial(cat3):
+    """The seed was first checked inside trial 0's own ``try``, so the
+    error read ``trial 0: ...`` and carried ``trial`` 0."""
+    with pytest.raises(ValueError, match=r"^rng path elements must be whole "
+                                         r"numbers, got 3.9$") as info:
+        mc_fits(cat3, [0.3, 0.4], 10, [], 3, 3.9)
+    assert not hasattr(info.value, "trial")
+
+
 @pytest.mark.parametrize("weights, quantities", [
     ([0.5], [100, 200]),
     ([0.5, 0.2, 0.9], [100, 200]),

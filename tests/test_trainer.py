@@ -223,6 +223,24 @@ def test_multi_task_needs_two_tasks():
         train_multi_task(FAM, [data], TrainConfig(learning_rate=1.0, epochs=2))
 
 
+def test_multi_task_needs_one_holdout_set_per_task(monkeypatch):
+    """A short list stepped task 0 and then died with an IndexError; a long
+    one was silently cut."""
+    d0 = FAM.sample(TH_TRUE, 50, derive_rng(11, 0))
+    d1 = FAM.sample(TH_TRUE, 50, derive_rng(11, 1))
+    h0 = FAM.sample(TH_TRUE, 50, derive_rng(11, 9))
+
+    def no_step(*args):
+        raise AssertionError("a step ran before the holdouts were checked")
+
+    monkeypatch.setattr("transferopt.trainer._step", no_step)
+    cfg = TrainConfig(learning_rate=1.0, epochs=2)
+    for holdouts in ([h0], [h0, None, h0]):
+        with pytest.raises(ParameterError,
+                           match="one holdout set \\(or None\\) per task"):
+            train_multi_task(FAM, [d0, d1], cfg, holdouts=holdouts)
+
+
 def test_multi_task_first_epoch_matches_zero_weight_pool():
     """Epoch one runs with all cross-task weights at zero, which is the
     same step as multi-source training against a dead source block."""
