@@ -38,8 +38,7 @@ from .harness import (
     verify_claim,
 )
 from .kl import mc_expected_kl
-from .planner import (build_qp_matrix, optimal_plan, plan_from_parameters,
-                      symmetric_psd)
+from .planner import build_qp_matrix, optimal_plan, symmetric_psd
 from .reporting import Report, write_csv, write_json
 from .rng import derive_rng
 from .trainer import TrainConfig, pretrain_params, train_multi_source, train_multi_task
@@ -125,10 +124,8 @@ def _cmd_weights(config, seed):
         plan = optimal_plan(qp, n_target=int(config["n_target"]))
         results = {"mode": "explicit", "plan": plan.to_json_dict()}
     else:
-        family, ens = config_ensemble(config, seed)
-        plan = plan_from_parameters(family, ens.target_params,
-                                    ens.source_params, ens.source_budgets,
-                                    ens.target_budget)
+        ens = config_ensemble(config, seed)
+        plan = optimal_plan(ens.qp(), n_target=ens.target_budget)
         results = {
             "mode": "ensemble",
             "ensemble": ens.to_json_dict(),
@@ -162,12 +159,10 @@ def _cmd_verify(config, seed):
 def _cmd_simulate(config, seed):
     if "check" in config:
         return _cmd_verify(config, seed)
-    family, ens = config_ensemble(config, seed)
+    ens = config_ensemble(config, seed)
     spec = config["weights"]
     if spec == "optimal":
-        plan = plan_from_parameters(family, ens.target_params,
-                                    ens.source_params, ens.source_budgets,
-                                    ens.target_budget)
+        plan = optimal_plan(ens.qp(), n_target=ens.target_budget)
         weights = plan.weights
         plan_dict = plan.to_json_dict()
     else:
@@ -199,7 +194,7 @@ def _cmd_simulate(config, seed):
 
 
 def _cmd_sweep(config, seed):
-    family, ens = config_ensemble(config, seed)
+    ens = config_ensemble(config, seed)
     axis = config["axis"]
     idx = int(config["source_index"])
     trials = int(config["trials"])

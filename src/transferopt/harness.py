@@ -19,8 +19,7 @@ from .families import get_family, whole_count
 from .fisher import analytic_fisher
 from .kl import (kl_exact, mc_divergences, mc_expected_kl, mc_fits,
                  mse_kl_bridge, predict_kl_multi, predict_kl_single)
-from .planner import (QpMatrix, direction_gram, optimal_plan,
-                      single_source_weight)
+from .planner import optimal_plan, qp_from_parameters, single_source_weight
 from .rng import derive_rng
 
 __all__ = [
@@ -73,6 +72,11 @@ class TaskEnsemble:
             raise ParameterError("an ensemble needs at least one source")
         if self.target_budget < 1 or np.any(self.source_budgets < 1):
             raise ParameterError("budgets must be positive counts")
+
+    def qp(self):
+        """The ensemble's QP matrix, from ``planner.qp_from_parameters``."""
+        return qp_from_parameters(self.family, self.target_params,
+                                  self.source_params, self.source_budgets)
 
     @property
     def k(self):
@@ -228,19 +232,9 @@ def build_ensemble(family, config, master_seed):
                         [src["budget"] for src in config["sources"]])
 
 
-def _ensemble_gram(ensemble):
-    """K x K matrix of information-weighted inner products of the source
-    displacement directions, evaluated at the target parameters."""
-    j = analytic_fisher(ensemble.family, ensemble.target_params)
-    dirs = np.stack([p - ensemble.target_params for p in ensemble.source_params],
-                    axis=1)
-    return direction_gram(j, dirs)
-
-
 def source_scalars(ensemble):
     """Per-source scaled squared distances t_i = dir_i' J dir_i / d."""
-    gram = _ensemble_gram(ensemble)
-    return np.diag(gram) / float(ensemble.family.dim)
+    return np.diag(ensemble.qp().gram) / float(ensemble.family.dim)
 
 
 def _check_source_index(index, k):
@@ -256,8 +250,8 @@ def _pinned(pinned_weights, k):
     if pinned_weights is None:
         return np.zeros(k)
     w = np.asarray(pinned_weights, dtype=float)
-    if w.shape != (k,) or np.any(w < 0):
-        raise ConfigError("pinned weights must be K nonnegative values",
+    if w.shape != (k,) or not np.all((w >= 0) & (w < np.inf)):
+        raise ConfigError("pinned weights must be K finite nonnegative values",
                           field="/pinned_weights")
     return w.copy()
 
@@ -296,7 +290,7 @@ def sweep_weight(ensemble, source_index, grid, trials, seed,
     weights = np.tile(_pinned(pinned_weights, ensemble.k), rows)
     weights[:, idx] = grid
     quantities = np.tile(ensemble.source_budgets.astype(float), rows)
-    return _sweep("weight", ensemble, grid, _ensemble_gram(ensemble), weights,
+    return _sweep("weight", ensemble, grid, ensemble.qp().gram, weights,
                   quantities, trials, seed)
 
 
@@ -314,7 +308,7 @@ def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
                           field="/grid")
     rows = (len(grid), 1)
     weights = np.tile(_pinned(pinned_weights, ensemble.k), rows)
-    gram = _ensemble_gram(ensemble)
+    gram = ensemble.qp().gram
     if weight_rule == "optimal":
         t_i = float(gram[idx, idx]) / ensemble.family.dim
         weights[:, idx] = 1.0 / (1.0 + t_i * grid)
@@ -418,14 +412,13 @@ def config_family(config):
 
 
 def config_ensemble(config, seed):
-    """Family and ensemble described by a config block."""
-    family = config_family(config)
-    return family, build_ensemble(family, config, seed)
+    """Ensemble described by a config block."""
+    return build_ensemble(config_family(config), config, seed)
 
 
 def _check_weight_optimum(config, seed):
     grid = _check_grid(config["grid"])
-    family, ens = config_ensemble(config, seed)
+    ens = config_ensemble(config, seed)
     idx = int(config["source_index"])
     trials = int(config["trials"])
     result = sweep_weight(ens, idx, grid, trials, seed)
@@ -455,7 +448,7 @@ def _check_weight_optimum(config, seed):
 
 def _check_quantity_monotone(config, seed):
     grid = _check_grid(config["grid"], integer=True)
-    family, ens = config_ensemble(config, seed)
+    ens = config_ensemble(config, seed)
     idx = int(config["source_index"])
     trials = int(config["trials"])
     rule = config["rule"]
@@ -522,14 +515,13 @@ def _check_dimension_scaling(config, seed):
 
 
 def _check_plan_beats_random(config, seed):
-    family, ens = config_ensemble(config, seed)
+    ens = config_ensemble(config, seed)
     trials = int(config["trials"])
     n_random = int(config["random_plans"])
     mc_top = int(config["mc_top"])
     mc_trials = int(config["mc_trials"])
     weight_high = float(config["weight_high"])
-    d = family.dim
-    qp = QpMatrix(_ensemble_gram(ens), ens.source_budgets, d)
+    qp = ens.qp()
     plan = optimal_plan(qp, n_target=ens.target_budget)
     plan_est = mc_expected_kl(ens, plan.weights, plan.quantities, trials,
                               seed, seed_prefix=(_PLAN_STREAM,))
@@ -538,7 +530,7 @@ def _check_plan_beats_random(config, seed):
     weight_draws = rng.uniform(0.0, weight_high, size=(n_random, ens.k))
     predictions = predict_kl_multi(ens.target_budget, weights=weight_draws,
                                    quantities=qp.budgets, gram=qp.gram,
-                                   d=d).total
+                                   d=qp.d).total
     beats_all = bool(plan_est.mean <= predictions.min())
 
     order = np.argsort(predictions)[:mc_top]
@@ -573,12 +565,12 @@ def _check_plan_beats_random(config, seed):
 
 
 def _check_estimator_mean(config, seed):
-    family, ens = config_ensemble(config, seed)
+    ens = config_ensemble(config, seed)
     weights = np.asarray(config["weights"], dtype=float)
     if weights.shape != (ens.k,):
         raise ConfigError("need one weight per source", field="/weights")
     trials = int(config["trials"])
-    estimates = mc_fits(family, ens.target_params, ens.target_budget,
+    estimates = mc_fits(ens.family, ens.target_params, ens.target_budget,
                         zip(ens.source_params, ens.source_budgets, weights),
                         trials, seed)
 

@@ -24,7 +24,7 @@ from .errors import ParameterError, UnsupportedFamilyError
 from .families import whole_count
 from .fisher import analytic_fisher
 from .rng import derive_rng
-from .weighted_mle import fit_sufficient, has_sufficient_stat
+from .weighted_mle import fit_sufficient, has_sufficient_stat, source_weights
 
 __all__ = [
     "KlPrediction",
@@ -168,10 +168,10 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
 
     A family without a sufficient statistic (``softmax_regression``) is
     rejected with UnsupportedFamilyError, and an ``n_target``, quantity,
-    trial count or seed that is not a whole number with ValueError, before
-    any trial runs. A failing trial re-raises its own exception, with the
-    trial index in a ``trial`` attribute and a ``trial i:`` prefix on the
-    message.
+    trial count or seed that is not a whole number, or weights that fail
+    ``source_weights``, with ValueError, before any trial runs. A failing
+    trial re-raises its own exception, with the trial index in a
+    ``trial`` attribute and a ``trial i:`` prefix on the message.
     """
     if not has_sufficient_stat(family):
         raise UnsupportedFamilyError(
@@ -180,6 +180,7 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     n_target = whole_count(n_target, "n_target")
     sources = [(p, whole_count(n, f"source {k} quantity"), float(w))
                for k, (p, n, w) in enumerate(sources)]
+    source_weights([w for *_, w in sources], len(sources))
     fit = _trial_fit(family, target_params, n_target, sources)
     out = []
     for i in range(whole_count(trials, "trials")):

@@ -25,8 +25,8 @@ __all__ = [
     "QpSolution",
     "TransferPlan",
     "single_source_weight",
-    "direction_gram",
     "build_qp_matrix",
+    "qp_from_parameters",
     "solve_simplex_qp",
     "optimal_plan",
     "plan_from_parameters",
@@ -159,14 +159,6 @@ def composed_quantity_derivative(n_target, n, t, d):
     return -d / (2.0 * denom * denom)
 
 
-def direction_gram(fisher, directions):
-    """K x K quadratic form Theta^T J Theta of the information matrix
-    against the direction columns."""
-    th = np.asarray(directions, dtype=float)
-    g = th.T @ fisher @ th
-    return 0.5 * (g + g.T)  # kill roundoff asymmetry
-
-
 def build_qp_matrix(directions, fisher, budgets, d):
     """QpMatrix of the direction columns Theta against the d x d
     information matrix J, whose gram is Theta^T J Theta."""
@@ -175,7 +167,17 @@ def build_qp_matrix(directions, fisher, budgets, d):
         raise ValueError(
             f"directions must have one column per source, got {th.shape}"
         )
-    return QpMatrix(direction_gram(fisher, th), budgets, d)
+    g = th.T @ fisher @ th
+    return QpMatrix(0.5 * (g + g.T), budgets, d)  # kill roundoff asymmetry
+
+
+def qp_from_parameters(family, target_params, source_params, budgets):
+    """QpMatrix of the displacement columns theta_i - theta_0 against the
+    analytic information matrix at the target: every analytic plan's."""
+    th0 = np.asarray(target_params, dtype=float)
+    cols = [np.asarray(p, dtype=float) - th0 for p in source_params]
+    return build_qp_matrix(np.stack(cols, axis=1), analytic_fisher(family, th0),
+                           budgets, family.dim)
 
 
 def project_to_simplex(v):
@@ -272,17 +274,10 @@ def optimal_plan(qp, n_target):
 
 def plan_from_parameters(family, target_params, source_params, budgets,
                          n_target):
-    """Convenience pipeline from raw parameter vectors.
-
-    Builds the direction columns, evaluates the analytic information
-    matrix at the target parameters, and returns the optimal plan.
-    """
-    th0 = np.asarray(target_params, dtype=float)
-    cols = [np.asarray(p, dtype=float) - th0 for p in source_params]
-    directions = np.stack(cols, axis=1)
-    qp = build_qp_matrix(directions, analytic_fisher(family, th0), budgets,
-                         family.dim)
-    return optimal_plan(qp, n_target=n_target)
+    """The optimal plan of ``qp_from_parameters``."""
+    return optimal_plan(qp_from_parameters(family, target_params,
+                                           source_params, budgets),
+                        n_target=n_target)
 
 
 def sub_budget_curve(qp, n_target, fractions):

@@ -189,11 +189,13 @@ def _step(family, cfg, theta, target_data, source_data, weights, holdout,
           trace, epoch, logged_weights, task=None):
     """One gradient step, recorded in ``trace`` with ``logged_weights``;
     returns the new iterate and the step's norm. An iterate off the
-    parameter space raises ConvergenceError, ``last_iterate`` the old one."""
-    loss, grad = weighted_loss_gradient(family, theta, target_data,
-                                        source_data, weights, cfg.ridge)
-    grad_norm = float(np.linalg.norm(grad))
-    new_theta = theta - cfg.learning_rate * grad
+    parameter space raises ConvergenceError; overflow reaching it is silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad = weighted_loss_gradient(family, theta, target_data,
+                                            source_data, weights, cfg.ridge)
+        grad_norm = float(np.linalg.norm(grad))
+        new_theta = theta - cfg.learning_rate * grad
+        step_norm = float(np.linalg.norm(new_theta - theta))
     try:
         family.validate(new_theta)
     except ParameterError as err:
@@ -202,7 +204,7 @@ def _step(family, cfg, theta, target_data, source_data, weights, holdout,
             last_iterate=theta, residual=grad_norm) from err
     nll, acc = holdout_metrics(family, new_theta, holdout)
     trace.add(epoch, loss, logged_weights, grad_norm, nll, acc)
-    return new_theta, float(np.linalg.norm(new_theta - theta))
+    return new_theta, step_norm
 
 
 def _round_robin(family, cfg, datasets, holdouts, sources=None):

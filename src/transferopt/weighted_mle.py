@@ -25,6 +25,7 @@ __all__ = [
     "fit_sufficient",
     "has_sufficient_stat",
     "search_start",
+    "source_weights",
     "weighted_loglik",
     "weighted_loglik_grad",
 ]
@@ -34,17 +35,23 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 10000
 
 
+def source_weights(weights, k):
+    """``weights`` as an array of one finite nonnegative weight for each
+    of ``k`` source blocks, else ValueError; every fit's weight rule."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (k,):
+        raise ValueError(f"need one weight per source block: "
+                         f"{k} blocks, weights of shape {w.shape}")
+    if not np.all((w >= 0.0) & (w < np.inf)):
+        raise ValueError("source weights must be finite and nonnegative")
+    return w
+
+
 def _weighted_blocks(target, sources, weights):
     """``(samples, weight)`` pairs: the target at weight 1, then each
     source whose weight is positive. A zero-weight block contributes
-    nothing and is never evaluated. ``weights`` must hold one finite
-    nonnegative value per source block, else ValueError."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(sources),):
-        raise ValueError(f"need one weight per source block: "
-                         f"{len(sources)} blocks, weights of shape {w.shape}")
-    if not np.all((w >= 0.0) & (w < np.inf)):
-        raise ValueError("source weights must be finite and nonnegative")
+    nothing and is never evaluated. ``weights`` pass ``source_weights``."""
+    w = source_weights(weights, len(sources))
     return [(target, 1.0)] + [(xs, float(wk))
                               for xs, wk in zip(sources, w) if wk > 0.0]
 

@@ -58,6 +58,43 @@ def active_set_oracle(n0, w, n, gram, d):
     return plan_total_oracle(n0, w[act] * n[act], m, d)
 
 
+def analytic_fisher_oracle(name, theta):
+    """Information matrix from its closed form, entry by entry: for
+    ``categorical`` in the free probabilities p_1..p_{K-1}, 1/p_i on the
+    diagonal plus 1/p_K everywhere; for unit-variance ``gaussian_iso``,
+    the identity."""
+    th = np.asarray(theta, dtype=float)
+    d = len(th)
+    p_last = 1.0 - th.sum()
+    j = np.zeros((d, d))
+    for i in range(d):
+        for k in range(d):
+            if name == "categorical":
+                j[i, k] = (1.0 / th[i] if i == k else 0.0) + 1.0 / p_last
+            else:
+                j[i, k] = 1.0 if i == k else 0.0
+    return j
+
+
+def qp_matrix_oracle(name, target, sources, budgets):
+    """M = (diag(d/N) + Theta^T J Theta)/d entry by entry, the columns of
+    Theta the displacements theta_i - theta_0 and J the closed-form
+    information at the target."""
+    th0 = np.asarray(target, dtype=float)
+    cols = [np.asarray(p, dtype=float) - th0 for p in sources]
+    j = analytic_fisher_oracle(name, th0)
+    d, k = len(th0), len(cols)
+    m = np.empty((k, k))
+    for a in range(k):
+        for b in range(k):
+            acc = 0.0
+            for i in range(d):
+                for l in range(d):
+                    acc += cols[a][i] * j[i, l] * cols[b][l]
+            m[a, b] = ((d / budgets[a] if a == b else 0.0) + acc) / d
+    return m
+
+
 def rand_psd(rng, k):
     a = rng.standard_normal((k, k))
     return a.T @ a / k

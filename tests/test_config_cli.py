@@ -1004,6 +1004,28 @@ def test_an_overflowing_gram_exits_3_naming_the_epoch(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_a_step_that_overflows_exits_3_without_a_warning(tmp_path, capsys):
+    """With no source there is no re-plan: the step's own gradient and
+    norms overflow on a huge finite iterate, which pytest turns into an
+    error unless the step silences it and lets validate reject the next
+    iterate."""
+    config = {
+        "mode": "multi_source",
+        "family": {"name": "gaussian_iso", "params": {"dim": 2}},
+        "target": {"params": [0.1, -0.2], "n": 30},
+        "sources": [],
+        "holdout_n": 50,
+        "train": {"learning_rate": 50, "epochs": 400},
+        "seed": 0,
+    }
+    rc, _, err = run(["train", "--config", write_cfg(tmp_path, config),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 3
+    assert err.startswith("numerical failure: step left the parameter space "
+                          "at epoch 183: parameters must be finite\n")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def _count_replans(monkeypatch):
     calls = []
     real = transferopt.trainer._replan

@@ -80,6 +80,8 @@ def test_no_module_imports_a_name_it_never_uses(path):
     ("transferopt.weighted_mle", "_active_blocks"),
     ("transferopt.kl", "_whole_count"),
     ("transferopt.harness", "_unit_direction"),
+    ("transferopt.planner", "direction_gram"),
+    ("transferopt.harness", "_ensemble_gram"),
 ])
 def test_removed_names_stay_removed(owner, name):
     """The block classes gave the weighted MLE a second data form beside

@@ -19,6 +19,7 @@ from transferopt import (
 )
 from transferopt import harness
 from transferopt.harness import TaskEnsemble, build_ensemble, resolve_grid, source_scalars
+from transferopt.planner import qp_from_parameters
 from transferopt.rng import derive_rng
 
 from helpers import (CONFIGS, active_set_oracle, load_json,
@@ -214,6 +215,34 @@ def test_sweep_argument_errors(cat3):
     assert exc.value.field == "/pinned_weights"
 
 
+@pytest.mark.parametrize("pinned", [[0.0, math.nan], [0.0, math.inf]],
+                         ids=["nan", "inf"])
+def test_non_finite_pinned_weights_are_a_config_error(cat3, pinned):
+    """nan swept on with nan predictions, and inf warned in a divide."""
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 200,
+        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0},
+                    {"c": 2.0, "budget": 300, "direction_seed": 1}],
+    }, 3)
+    with pytest.raises(ConfigError) as exc:
+        sweep_weight(ens, 0, [0.0, 1.0], 10, 3, pinned_weights=pinned)
+    assert exc.value.field == "/pinned_weights"
+
+
+def test_an_ensemble_plans_through_the_parameter_qp(cat3):
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 200,
+        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0},
+                    {"c": 2.0, "budget": 700, "direction_seed": 1}],
+    }, 3)
+    got = ens.qp()
+    want = qp_from_parameters(ens.family, ens.target_params,
+                              ens.source_params, ens.source_budgets)
+    for name in ("gram", "budgets", "m"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.d == want.d == cat3.dim
+
+
 def test_a_fractional_source_index_is_a_config_error(cat3, monkeypatch):
     """The index was cast with ``int``, so 0.5 swept source 0."""
     ens = build_ensemble(cat3, {
@@ -363,8 +392,8 @@ def test_random_plan_predictions_match_one_plan_at_a_time():
         "weight_high": 2.0,
     }
     report = verify_claim("plan-beats-random", cfg, 31)
-    _, ens = harness.config_ensemble(cfg, 31)
-    gram = harness._ensemble_gram(ens)
+    ens = harness.config_ensemble(cfg, 31)
+    gram = ens.qp().gram
     draws = derive_rng(31, harness._RANDOM_DRAW_STREAM).uniform(
         0.0, 2.0, size=(300, 3))
     want = min(active_set_oracle(500, w, ens.source_budgets, gram, 2)

@@ -448,6 +448,27 @@ def test_a_bad_seed_is_not_blamed_on_a_trial(cat3):
     assert not hasattr(info.value, "trial")
 
 
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+def test_mc_weights_follow_the_fit_weight_rule(cat3, monkeypatch, weight):
+    """-1 and nan were skipped like a zero weight, so the estimate was
+    exactly the zero-weight one, and inf failed as ``trial 0``; the
+    weighted MLE rejects all three, and so does the estimate, before any
+    trial."""
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 100,
+        "sources": [{"c": 0.5, "budget": 50, "direction_seed": 0},
+                    {"c": 1.5, "budget": 50, "direction_seed": 1}],
+    }, 4)
+    streams = []
+    monkeypatch.setattr("transferopt.kl.derive_rng",
+                        lambda *path: streams.append(path))
+    with pytest.raises(ValueError, match="^source weights must be finite and "
+                                         "nonnegative$") as info:
+        mc_expected_kl(ens, [weight, 0.0], [50, 50], 20, 7)
+    assert not hasattr(info.value, "trial")
+    assert streams == []
+
+
 @pytest.mark.parametrize("weights, quantities", [
     ([0.5], [100, 200]),
     ([0.5, 0.2, 0.9], [100, 200]),

@@ -1,6 +1,7 @@
 """Planner contracts: the closed-form weight, the coefficient matrix, the
 simplex solver against exhaustive search, and the assembled plans."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -23,12 +24,14 @@ from transferopt.planner import (
     composed_quantity_derivative,
     composed_quantity_objective,
     project_to_simplex,
+    qp_from_parameters,
     sub_budget_curve,
 )
 
 from helpers import (
     plan_total_oracle,
     predicted_single_oracle,
+    qp_matrix_oracle,
     rand_psd,
     simplex_qp_oracle,
 )
@@ -120,6 +123,40 @@ def test_qp_matrix_hand_computed(cat3, rng):
                     acc += cols[i, a] * j[i, k] * cols[k, b]
             want[a, b] = ((d / budgets[a] if a == b else 0.0) + acc) / d
     assert np.max(np.abs(qp.m - want)) <= 1e-10
+
+
+_PARAMETER_ENSEMBLES = [
+    ("categorical", {"num_outcomes": 3}, [0.3, 0.4],
+     [[0.32, 0.37], [0.25, 0.45], [0.3, 0.4]]),
+    ("gaussian_iso", {"dim": 3}, [0.1, -0.2, 0.3],
+     [[0.4, 0.0, 0.3], [-0.5, 0.2, 0.1], [0.1, -0.2, 0.9]]),
+]
+
+
+@pytest.mark.parametrize("name, params, target, sources", _PARAMETER_ENSEMBLES,
+                         ids=["categorical", "gaussian_iso"])
+def test_qp_from_parameters_matches_the_closed_form(name, params, target,
+                                                    sources):
+    budgets = [500, 900, 1300]
+    qp = qp_from_parameters(get_family(name, params), target, sources,
+                            budgets)
+    want = qp_matrix_oracle(name, target, sources, budgets)
+    assert np.max(np.abs(qp.m - want)) <= 1e-12 * np.max(np.abs(want))
+    assert qp.d == len(target) and np.array_equal(qp.budgets, budgets)
+
+
+@pytest.mark.parametrize("name, params, target, sources", _PARAMETER_ENSEMBLES,
+                         ids=["categorical", "gaussian_iso"])
+def test_plan_from_parameters_is_the_plan_of_its_qp(name, params, target,
+                                                    sources):
+    family, budgets = get_family(name, params), [500, 900, 1300]
+    got = plan_from_parameters(family, target, sources, budgets, 400)
+    want = optimal_plan(qp_from_parameters(family, target, sources, budgets),
+                        n_target=400)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        assert same, f.name
 
 
 def test_qp_matrix_rejects_bad_inputs(gauss3):

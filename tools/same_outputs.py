@@ -5,13 +5,18 @@
 Runs, once per checkout:
 - every bundled config in ``configs/`` with its own seed;
 - every job that ``perfbench/workloads.py`` generates for its three
-  workloads at seeds 1 and 3, with the job's seed.
+  workloads at seeds 1 and 3, with the job's seed;
+- at each of those seeds, one library run that writes the plan
+  (``plan_from_parameters``) of every plan-solve instance and each of the
+  workload's sub-budget curves, floats at full precision and an exception
+  as a value.
 
 Each checkout runs in its own subprocess, with its own ``src`` and
 ``perfbench`` on ``PYTHONPATH`` and bytecode writing off, so ``perfbench/``
-is only read. Every run writes JSON and CSV. For each run the tool compares
-the exit code, standard output, standard error without its ``elapsed:``
-timing line, ``report.json`` and the CSVs, after replacing each side's
+is only read. Every CLI run writes JSON and CSV. For each run the tool
+compares every file it wrote: a CLI run's exit code, standard output,
+standard error without its ``elapsed:`` timing line, ``report.json`` and
+the CSVs, a library run's ``plans.json``, after replacing each side's
 checkout and output directories by placeholders. It prints one line per run
 that differs and exits 1 if any does, 0 if all are identical. It uses the
 standard library and the checkouts' own code only.
@@ -24,57 +29,104 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 PERFBENCH_SEEDS = (1, 3)
 
 
-def _jobs(root, out):
-    """``(name, argv)`` of every run, bundled configs first."""
+def _runs(root, out):
+    """``(name, run)`` of every run, bundled configs first; ``run(run_dir)``
+    writes the run's files."""
     import workloads  # the checkout's perfbench/workloads.py
     from transferopt.config import COMMANDS
 
-    jobs = []
+    runs = []
     for path in sorted((root / "configs").glob("*.json")):
         command = path.stem.split("_")[0]  # weights_golden.json -> weights
         if command not in COMMANDS:
             raise SystemExit(f"no command for bundled config {path.name}")
-        jobs.append((f"bundled/{path.stem}", [command, "--config", str(path)]))
+        runs.append((f"bundled/{path.stem}",
+                     partial(_cli, [command, "--config", str(path)])))
     for seed in PERFBENCH_SEEDS:
         for name, workload in workloads.WORKLOADS.items():
             bench = workload(root, out / "perfbench" / f"{name}-{seed}", seed)
             for label, command, path, _, job_seed in bench.jobs:
-                jobs.append((f"{name}/seed{seed}/{label}",
-                             [command, "--config", str(path),
-                              "--seed", str(job_seed)]))
-    return jobs
+                runs.append((f"{name}/seed{seed}/{label}",
+                             partial(_cli, [command, "--config", str(path),
+                                            "--seed", str(job_seed)])))
+            if isinstance(bench, workloads.PlanSolve):
+                runs.append((f"{name}/seed{seed}/plans",
+                             partial(_plans, bench)))
+    return runs
+
+
+def _cli(argv, run_dir):
+    """One CLI run: its files, exit code, stdout and stderr (less the
+    ``elapsed:`` timing line)."""
+    import transferopt.cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = transferopt.cli.main(
+            argv + ["--out", str(run_dir / "files"), "--format", "both"])
+    err = "".join(line for line in stderr.getvalue().splitlines(True)
+                  if not line.startswith("elapsed: "))
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "exit_code").write_text(f"{code}\n", encoding="utf-8")
+    (run_dir / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
+    (run_dir / "stderr").write_text(err, encoding="utf-8")
+
+
+def _value(compute):
+    """``compute()``, or the exception it raises, as a JSON value."""
+    try:
+        return compute()
+    except Exception as err:
+        return {"exception": f"{type(err).__name__}: {err}"}
+
+
+def _plans(bench, run_dir):
+    """The plan of every plan-solve instance and the workload's sub-budget
+    curves, written to ``plans.json``; JSON floats keep full precision."""
+    import numpy as np
+    from transferopt.fisher import analytic_fisher
+    from transferopt.planner import (build_qp_matrix, plan_from_parameters,
+                                     sub_budget_curve)
+
+    def plan(i):
+        return plan_from_parameters(i.family, i.target, i.sources, i.budgets,
+                                    i.n_target).to_json_dict()
+
+    def curve(i):
+        dirs = np.stack([s - i.target for s in i.sources], axis=1)
+        qp = build_qp_matrix(dirs, analytic_fisher(i.family, i.target),
+                             i.budgets, i.family.dim)
+        return sub_budget_curve(qp, i.n_target, bench.CURVE_FRACTIONS)
+
+    values = {
+        "plans": [_value(partial(plan, i)) for i in bench.instances],
+        "sub_budget_curves": [_value(partial(curve, i))
+                              for i in bench.instances[:bench.CURVES]],
+    }
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "plans.json").write_text(json.dumps(values, indent=1),
+                                        encoding="utf-8")
 
 
 def collect(root, out):
-    """Run every job of the checkout at ``root`` in this process, writing
+    """Run every run of the checkout at ``root`` in this process, writing
     each run's files under ``out/runs/<name>``; lists the names in
     ``out/runs.json``."""
-    import transferopt.cli
+    import transferopt
 
     src = (root / "src").resolve()
     if Path(transferopt.__file__).resolve().parent.parent != src:
         raise SystemExit(f"transferopt imported from {transferopt.__file__}, "
                          f"not from {src}")
     names = []
-    for name, argv in _jobs(root, out):
-        run_dir = out / "runs" / name
-        files = run_dir / "files"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = transferopt.cli.main(
-                argv + ["--out", str(files), "--format", "both"])
-        err = "".join(line for line in stderr.getvalue().splitlines(True)
-                      if not line.startswith("elapsed: "))
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "exit_code").write_text(f"{code}\n", encoding="utf-8")
-        (run_dir / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
-        (run_dir / "stderr").write_text(err, encoding="utf-8")
+    for name, run in _runs(root, out):
+        run(out / "runs" / name)
         names.append(name)
     (out / "runs.json").write_text(json.dumps(names), encoding="utf-8")
 
