@@ -88,7 +88,31 @@ def _param_rows(theta, dim, what):
     return th.reshape(-1, dim)
 
 
-class Categorical:
+class _Family:
+    """What the families share: a batch's size, its summed log likelihood
+    and score, and the check that parameters are a finite vector of length
+    ``dim``, whose message names the vector by ``vector``."""
+
+    vector = "parameters"
+
+    def validate(self, theta):
+        th = np.asarray(theta, dtype=float)
+        if th.shape != (self.dim,):
+            raise ParameterError(f"expected {self.vector} of length {self.dim}")
+        if not np.all(np.isfinite(th)):
+            raise ParameterError("parameters must be finite")
+        return th
+
+    def n_samples(self, xs):
+        return len(xs)
+
+    def loglik_and_score_sum(self, theta, xs):
+        """Summed log likelihood and summed score of a batch."""
+        return (self.log_density_batch(theta, xs).sum(),
+                self.score_batch(theta, xs).sum(axis=0))
+
+
+class Categorical(_Family):
     """Finite distribution over ``num_outcomes`` symbols.
 
     Parameters
@@ -126,10 +150,16 @@ class Categorical:
         self._simplex_probs(th, 0.0 if for_sampling else INTERIOR_FLOOR)
         return th
 
+    def _prob_vector(self, theta, for_sampling=False):
+        """Checked free probabilities and the implied last, unclamped."""
+        th = self.validate(theta, for_sampling)
+        return np.append(th, 1.0 - th.sum())
+
     def probs(self, theta):
-        """Full probability vector of length ``num_outcomes``."""
-        th = self.validate(theta, for_sampling=True)
-        return np.append(th, max(1.0 - th.sum(), 0.0))
+        """All ``num_outcomes`` probabilities, which both samplers draw from;
+        ``theta`` may sit on the boundary: clamped at 0, then normalized."""
+        p = np.maximum(self._prob_vector(theta, for_sampling=True), 0.0)
+        return p / p.sum()
 
     # -- observations -----------------------------------------------------
 
@@ -144,10 +174,8 @@ class Categorical:
 
     def log_density_batch(self, theta, xs):
         """Log probability of each outcome."""
-        th = self.validate(theta)
-        xs = self.check_batch(xs)
-        p = np.append(th, 1.0 - th.sum())
-        return np.log(p[xs])
+        p = self._prob_vector(theta)
+        return np.log(p[self.check_batch(xs)])
 
     def score_batch(self, theta, xs):
         """Gradient of each log density with respect to the free parameters.
@@ -155,19 +183,10 @@ class Categorical:
         For outcome ``j`` the score is ``e_j / p_j`` when ``j`` is free and
         ``-1/p_last`` in every coordinate when ``j`` is the implied outcome.
         """
-        th = self.validate(theta)
-        xs = self.check_batch(xs)
-        p_last = 1.0 - th.sum()
-        out = np.zeros((len(xs), self.dim))
-        for j in range(self.dim):
-            out[xs == j, j] = 1.0 / th[j]
-        out[xs == self.dim, :] = -1.0 / p_last
-        return out
-
-    def loglik_and_score_sum(self, theta, xs):
-        """Summed log likelihood and summed score of a batch."""
-        return (self.log_density_batch(theta, xs).sum(),
-                self.score_batch(theta, xs).sum(axis=0))
+        p = self._prob_vector(theta)
+        table = np.diag(1.0 / p)[:, :-1]
+        table[-1] = -1.0 / p[-1]
+        return table[self.check_batch(xs)]
 
     # -- sampling ---------------------------------------------------------
 
@@ -175,20 +194,14 @@ class Categorical:
         """Draw ``n`` outcomes. ``rng`` is an integer seed or a Generator."""
         n = _sample_count(n)
         p = self.probs(theta)
-        p = p / p.sum()
-        r = _as_rng(rng)
-        return r.choice(self.num_outcomes, size=n, p=p)
-
-    def n_samples(self, xs):
-        return len(xs)
+        return _as_rng(rng).choice(self.num_outcomes, size=n, p=p)
 
     # -- exact quantities --------------------------------------------------
 
     def analytic_fisher_matrix(self, theta):
         """Information matrix ``diag(1/p_j) + (1/p_last) 11^T``."""
-        th = self.validate(theta)
-        p_last = 1.0 - th.sum()
-        return np.diag(1.0 / th) + 1.0 / p_last
+        p = self._prob_vector(theta)
+        return np.diag(1.0 / p[:-1]) + 1.0 / p[-1]
 
     def _simplex_probs(self, theta, floor):
         """Full probability rows ``(T, num_outcomes)`` of one parameter
@@ -224,8 +237,7 @@ class Categorical:
         and measured in one array pass (see ``_simplex_probs``).
         ``theta_p`` may sit on the simplex boundary.
         """
-        th = self.validate(theta_p, for_sampling=True)
-        p = np.append(th, 1.0 - np.sum(th))
+        p = self._prob_vector(theta_p, for_sampling=True)
         q = self._simplex_probs(theta_q, INTERIOR_FLOOR)
         mask = p > 0
         terms = p[mask] * np.log(p[mask] / q[:, mask])
@@ -241,7 +253,6 @@ class Categorical:
         """``draw(n, rng)``: the outcome counts of ``n`` draws at ``theta``,
         drawn as one multinomial. ``theta`` is checked here, once."""
         p = self.probs(theta)
-        p = p / p.sum()
 
         def draw(n, rng):
             return rng.multinomial(_sample_count(n), p).astype(float)
@@ -250,33 +261,25 @@ class Categorical:
 
     def loglik_hessian(self, theta, xs):
         """Hessian of the summed log likelihood at ``theta``."""
-        th = self.validate(theta)
+        p = self._prob_vector(theta)
         c = self.sufficient_stat(xs)
-        p_last = 1.0 - th.sum()
-        h = np.full((self.dim, self.dim), -c[-1] / p_last**2)
-        h[np.diag_indices(self.dim)] -= c[:-1] / th**2
+        h = np.full((self.dim, self.dim), -c[-1] / p[-1]**2)
+        h[np.diag_indices(self.dim)] -= c[:-1] / p[:-1]**2
         return h
 
 
-class GaussianIso:
+class GaussianIso(_Family):
     """Isotropic Gaussian with known unit covariance; the mean is the
     parameter. Scores, information and divergences are all exact."""
 
     name = "gaussian_iso"
+    vector = "mean"
 
     def __init__(self, dim):
         d = whole_count(dim, "dim", ParameterError)
         if d < 1:
             raise ParameterError("gaussian_iso needs dim >= 1")
         self.dim = d
-
-    def validate(self, theta, for_sampling=False):
-        th = np.asarray(theta, dtype=float)
-        if th.shape != (self.dim,):
-            raise ParameterError(f"expected mean of length {self.dim}")
-        if not np.all(np.isfinite(th)):
-            raise ParameterError("parameters must be finite")
-        return th
 
     def check_batch(self, xs):
         """Observations as an ``(n, dim)`` float array; SupportError if not."""
@@ -294,19 +297,11 @@ class GaussianIso:
         th = self.validate(theta)
         return self.check_batch(xs) - th
 
-    def loglik_and_score_sum(self, theta, xs):
-        """Summed log likelihood and summed score of a batch."""
-        return (self.log_density_batch(theta, xs).sum(),
-                self.score_batch(theta, xs).sum(axis=0))
-
     def sample(self, theta, n, rng):
         n = _sample_count(n)
         th = self.validate(theta)
         r = _as_rng(rng)
         return th + r.standard_normal((n, self.dim))
-
-    def n_samples(self, xs):
-        return len(xs)
 
     def sufficient_stat(self, xs):
         """The sample sum, the sufficient statistic for the mean."""
@@ -352,7 +347,7 @@ class GaussianIso:
         return -float(len(self.check_batch(xs))) * np.eye(self.dim)
 
 
-class SoftmaxRegression:
+class SoftmaxRegression(_Family):
     """Multinomial logistic regression over standard-normal features.
 
     The parameter vector is the flattened ``(num_classes, feature_dim)``
@@ -363,6 +358,7 @@ class SoftmaxRegression:
     """
 
     name = "softmax_regression"
+    vector = "flattened weights"
 
     def __init__(self, feature_dim, num_classes):
         p = whole_count(feature_dim, "feature_dim", ParameterError)
@@ -372,14 +368,6 @@ class SoftmaxRegression:
         self.feature_dim = p
         self.num_classes = c
         self.dim = p * c
-
-    def validate(self, theta, for_sampling=False):
-        th = np.asarray(theta, dtype=float)
-        if th.shape != (self.dim,):
-            raise ParameterError(f"expected flattened weights of length {self.dim}")
-        if not np.all(np.isfinite(th)):
-            raise ParameterError("parameters must be finite")
-        return th
 
     def _check_features(self, zs):
         Z = np.asarray(zs, dtype=float)

@@ -25,8 +25,7 @@ def analytic_fisher(family, theta):
         raise UnsupportedFamilyError(
             f"family '{family.name}' has no analytic information matrix"
         )
-    m = fn(theta)
-    return 0.5 * (m + m.T)
+    return fn(theta)
 
 
 def projected_gram(family, theta, samples, directions):
@@ -41,5 +40,4 @@ def projected_gram(family, theta, samples, directions):
     if n < 1:
         raise ValueError("empirical information needs at least one sample")
     proj = family.score_batch(theta, samples) @ th
-    g = (proj.T @ proj) / proj.shape[0]
-    return 0.5 * (g + g.T)  # kill roundoff asymmetry
+    return (proj.T @ proj) / proj.shape[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ParameterError
 from .families import whole_count
 from .fisher import analytic_fisher
 from .kl import KlPrediction, predict_kl_multi, predict_kl_single
@@ -60,9 +60,9 @@ class QpMatrix:
     """The K x K quadratic coefficient matrix M = (diag(d/N_i) + G)/d,
     derived from the direction gram G, the budgets N and the dimension d.
 
-    The gram must be finite, symmetric and positive semi-definite, every
-    budget a whole count >= 1 and ``d`` a whole count; ValueError
-    otherwise.
+    The gram must be finite, symmetric and positive semi-definite (it is
+    symmetrized here, the one place a gram is), every budget a whole count
+    >= 1 and ``d`` a whole count; ValueError otherwise.
     """
 
     gram: np.ndarray
@@ -167,15 +167,20 @@ def build_qp_matrix(directions, fisher, budgets, d):
         raise ValueError(
             f"directions must have one column per source, got {th.shape}"
         )
-    g = th.T @ fisher @ th
-    return QpMatrix(0.5 * (g + g.T), budgets, d)  # kill roundoff asymmetry
+    return QpMatrix(th.T @ fisher @ th, budgets, d)
 
 
 def qp_from_parameters(family, target_params, source_params, budgets):
     """QpMatrix of the displacement columns theta_i - theta_0 against the
-    analytic information matrix at the target: every analytic plan's."""
+    analytic information matrix at the target: every analytic plan's. A
+    source that ``family.validate`` rejects raises ParameterError naming it."""
     th0 = np.asarray(target_params, dtype=float)
-    cols = [np.asarray(p, dtype=float) - th0 for p in source_params]
+    cols = []
+    for i, p in enumerate(source_params):
+        try:
+            cols.append(family.validate(p) - th0)
+        except ParameterError as err:
+            raise ParameterError(f"source {i}: {err}") from err
     return build_qp_matrix(np.stack(cols, axis=1), analytic_fisher(family, th0),
                            budgets, family.dim)
 

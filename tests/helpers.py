@@ -76,6 +76,20 @@ def analytic_fisher_oracle(name, theta):
     return j
 
 
+def categorical_score_oracle(theta, x):
+    """Score of outcome ``x`` in the free probabilities p_1..p_{K-1}:
+    e_x / p_x for a free outcome, -1/p_K in every coordinate for the
+    implied one."""
+    th = np.asarray(theta, dtype=float)
+    d = len(th)
+    if x == d:
+        p_last = 1.0 - th.sum()
+        return np.full(d, -1.0 / p_last)
+    g = np.zeros(d)
+    g[x] = 1.0 / th[x]
+    return g
+
+
 def qp_matrix_oracle(name, target, sources, budgets):
     """M = (diag(d/N) + Theta^T J Theta)/d entry by entry, the columns of
     Theta the displacements theta_i - theta_0 and J the closed-form

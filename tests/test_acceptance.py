@@ -251,11 +251,12 @@ def test_criterion_09_predictions_scale_linearly_with_dimension():
         "trials": 4000,
     }, seed=19)
     d = rep["details"]
-    ok = (rep["verdict"] == "pass" and d["linearity_max_rel_err"] <= 1e-12
-          and d["mc_ratios_ok"])
-    _report(9, ok, f"predicted totals linear in d over {d['dims']} to "
-                   f"{d['linearity_max_rel_err']:.1e} (tol 1e-12), MC "
-                   f"ratios within 3 sigma")
+    totals, dims = d["predicted_totals"], d["dims"]
+    lin_err = max(abs(tot - dim * totals[0] / dims[0]) / tot
+                  for tot, dim in zip(totals, dims))
+    ok = rep["verdict"] == "pass" and lin_err <= 1e-12 and d["mc_ratios_ok"]
+    _report(9, ok, f"predicted totals linear in d over {dims} to "
+                   f"{lin_err:.1e} (tol 1e-12), MC ratios within 3 sigma")
 
 
 def test_criterion_10_information_matrix_machinery():

@@ -14,8 +14,9 @@ from transferopt.planner import QpMatrix
 from transferopt.rng import derive_rng
 from transferopt.weighted_mle import fit_weighted_mle
 
-from helpers import (fd_gradient, softmax_hessian_oracle,
-                     softmax_probs_row_major, softmax_sample_row_major)
+from helpers import (categorical_score_oracle, fd_gradient,
+                     softmax_hessian_oracle, softmax_probs_row_major,
+                     softmax_sample_row_major)
 
 
 def test_binary_log_density_is_log_half(cat2):
@@ -56,6 +57,18 @@ def test_uniform_categorical_score_mean_is_zero(cat3):
     p = cat3.probs(theta)
     mean = sum(p[x] * cat3.score_batch(theta, [x])[0] for x in range(3))
     assert np.max(np.abs(mean)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_categorical_score_rows_are_the_closed_form(m):
+    """Every outcome's score row equals its transcription exactly."""
+    family = get_family("categorical", {"num_outcomes": m})
+    rng = derive_rng(23, m)
+    theta = (0.5 * rng.dirichlet(np.ones(m)) + 0.5 / m)[:-1]
+    got = family.score_batch(theta, np.arange(m))
+    assert got.shape == (m, m - 1)
+    for x in range(m):
+        assert np.array_equal(got[x], categorical_score_oracle(theta, x)), x
 
 
 def test_score_matches_finite_differences(cat3, gauss3, softmax23, rng):
@@ -192,6 +205,18 @@ def test_degenerate_categorical_sampling(cat2):
     with pytest.raises(ParameterError):
         cat2.validate(theta)
     cat2.validate(theta, for_sampling=True)
+
+
+def test_samplers_draw_at_a_free_entry_within_roundoff_below_zero(cat3):
+    """``validate(..., for_sampling=True)`` accepts a free entry down to
+    -1e-15; both samplers draw from ``probs``, which clamps it to 0."""
+    theta = [-1e-16, 0.5]
+    p = cat3.probs(theta)
+    assert p[0] == 0.0 and np.max(np.abs(p - [0.0, 0.5, 0.5])) <= 1e-15
+    xs = cat3.sample(theta, 50, 1)
+    assert len(xs) == 50 and 0 not in xs
+    counts = cat3.stat_sampler(theta)(50, derive_rng(1))
+    assert counts[0] == 0.0 and counts.sum() == 50.0
 
 
 def test_sample_frequencies_match_probabilities(cat2):

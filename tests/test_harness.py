@@ -352,7 +352,9 @@ def test_dimension_scaling_check_passes():
            "trials": 400}
     report = verify_claim("dimension-scaling", cfg, 19)
     assert report["verdict"] == "pass"
-    assert report["details"]["linearity_max_rel_err"] <= 1e-12
+    totals, dims = (report["details"][k] for k in ("predicted_totals", "dims"))
+    assert max(abs(tot - dim * totals[0] / dims[0]) / tot
+               for tot, dim in zip(totals, dims)) <= 1e-12
 
 
 def test_plan_beats_random_check_passes():

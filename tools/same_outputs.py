@@ -8,15 +8,19 @@ Runs, once per checkout:
   workloads at seeds 1 and 3, with the job's seed;
 - at each of those seeds, one library run that writes the plan
   (``plan_from_parameters``) of every plan-solve instance and each of the
-  workload's sub-budget curves, floats at full precision and an exception
-  as a value.
+  workload's sub-budget curves;
+- one library run that writes every method of every family, the
+  information matrices and the weighted fits, on seeded parameters and
+  batches (``FAMILY_CASES``).
+
+Library runs write floats at full precision and an exception as a value.
 
 Each checkout runs in its own subprocess, with its own ``src`` and
 ``perfbench`` on ``PYTHONPATH`` and bytecode writing off, so ``perfbench/``
 is only read. Every CLI run writes JSON and CSV. For each run the tool
 compares every file it wrote: a CLI run's exit code, standard output,
 standard error without its ``elapsed:`` timing line, ``report.json`` and
-the CSVs, a library run's ``plans.json``, after replacing each side's
+the CSVs, a library run's JSON file, after replacing each side's
 checkout and output directories by placeholders. It prints one line per run
 that differs and exits 1 if any does, 0 if all are identical. It uses the
 standard library and the checkouts' own code only.
@@ -33,6 +37,15 @@ from functools import partial
 from pathlib import Path
 
 PERFBENCH_SEEDS = (1, 3)
+
+# (family name, parameter block) of the family run; the categorical sizes
+# span numpy's switch to pairwise sums at 8 or more terms
+FAMILY_CASES = tuple(
+    [("categorical", {"num_outcomes": m}) for m in (2, 3, 5, 9, 12)]
+    + [("gaussian_iso", {"dim": d}) for d in (1, 3)]
+    + [("softmax_regression", {"feature_dim": 3, "num_classes": 3})])
+FAMILY_BATCH = 40
+FIT_RIDGE = 1e-3
 
 
 def _runs(root, out):
@@ -58,6 +71,7 @@ def _runs(root, out):
             if isinstance(bench, workloads.PlanSolve):
                 runs.append((f"{name}/seed{seed}/plans",
                              partial(_plans, bench)))
+    runs.append(("library/families", _families))
     return runs
 
 
@@ -112,6 +126,86 @@ def _plans(bench, run_dir):
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "plans.json").write_text(json.dumps(values, indent=1),
                                         encoding="utf-8")
+
+
+def _plain(x):
+    """``x`` as JSON lists and numbers; a tuple or list item by item."""
+    import numpy as np
+
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    return np.asarray(x).tolist()
+
+
+def _family_params(family, rng):
+    """A parameter vector well inside ``family``'s region: every
+    categorical probability at least half of uniform."""
+    import numpy as np
+
+    if family.name == "categorical":
+        m = family.num_outcomes
+        return (0.5 * rng.dirichlet(np.ones(m)) + 0.5 / m)[:-1]
+    return 0.5 * rng.standard_normal(family.dim)
+
+
+def _family_values(family, rng):
+    """Every method of ``family`` at seeded parameters and batches."""
+    from transferopt.fisher import analytic_fisher, projected_gram
+    from transferopt.weighted_mle import fit_weighted_mle
+
+    theta, other, third = (_family_params(family, rng) for _ in range(3))
+    xs, src_a, src_b = (family.sample(p, FAMILY_BATCH, rng)
+                        for p in (theta, other, third))
+    directions = (other - theta)[:, None]
+    calls = {
+        "validate": lambda: family.validate(theta),
+        "sample": lambda: xs,
+        "n_samples": lambda: family.n_samples(xs),
+        "check_batch": lambda: family.check_batch(xs),
+        "log_density_batch": lambda: family.log_density_batch(theta, xs),
+        "score_batch": lambda: family.score_batch(theta, xs),
+        "loglik_and_score_sum": lambda: family.loglik_and_score_sum(theta, xs),
+        "loglik_hessian": lambda: family.loglik_hessian(theta, xs),
+        "projected_gram": lambda: projected_gram(family, theta, xs, directions),
+        "fit_ridge": lambda: fit_weighted_mle(family, xs, [src_a, src_b],
+                                              [0.5, 0.25], ridge=FIT_RIDGE),
+    }
+    if family.name == "softmax_regression":
+        calls["class_probs"] = lambda: family.class_probs(theta, xs[0])
+    else:
+        calls.update({
+            "sufficient_stat": lambda: family.sufficient_stat(xs),
+            "stat_sampler": lambda: family.stat_sampler(theta)(FAMILY_BATCH,
+                                                               rng),
+            "analytic_fisher_matrix": lambda: family.analytic_fisher_matrix(
+                theta),
+            "analytic_fisher": lambda: analytic_fisher(family, theta),
+            "kl_divergence": lambda: family.kl_divergence(theta, other),
+            "kl_divergence_stack": lambda: family.kl_divergence(
+                theta, [other, third]),
+            "fit_closed_form": lambda: fit_weighted_mle(
+                family, xs, [src_a, src_b], [0.5, 0.25]),
+        })
+    if family.name == "categorical":
+        calls["probs"] = lambda: family.probs(theta)
+    return {name: _value(lambda c=c: _plain(c())) for name, c in calls.items()}
+
+
+def _families(run_dir):
+    """Every family method of every ``FAMILY_CASES`` entry at each seed,
+    written to ``families.json``; JSON floats keep full precision."""
+    from transferopt.families import get_family
+    from transferopt.rng import derive_rng
+
+    values = {}
+    for seed in PERFBENCH_SEEDS:
+        for i, (name, params) in enumerate(FAMILY_CASES):
+            family = get_family(name, params)
+            key = f"seed{seed}/{name} {json.dumps(params, sort_keys=True)}"
+            values[key] = _family_values(family, derive_rng(seed, i))
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "families.json").write_text(json.dumps(values, indent=1),
+                                           encoding="utf-8")
 
 
 def collect(root, out):
