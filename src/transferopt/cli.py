@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import COMMANDS, DEFAULTS, load_config, validate_config
 from .errors import (
     ConfigError,
@@ -33,13 +34,12 @@ from .harness import (
     config_ensemble,
     config_family,
     config_params,
-    sweep_quantity,
-    sweep_weight,
+    config_sweep,
     verify_claim,
 )
 from .kl import mc_expected_kl
 from .planner import build_qp_matrix, optimal_plan, symmetric_psd
-from .reporting import Report, write_csv, write_json
+from .reporting import write_csv, write_json
 from .rng import derive_rng
 from .trainer import TrainConfig, pretrain_params, train_multi_source, train_multi_task
 
@@ -87,17 +87,11 @@ def _build_parser():
     return parser
 
 
-def _plan_csv(plan_dict):
-    rows = [
-        {
-            "source": i + 1,
-            "alpha": plan_dict["alpha"][i],
-            "weight": plan_dict["weights"][i],
-            "quantity": plan_dict["quantities"][i],
-        }
-        for i in range(len(plan_dict["weights"]))
-    ]
-    return ("plan.csv", ["source", "alpha", "weight", "quantity"], rows)
+def _plan_csv(plan):
+    columns = zip(plan["alpha"], plan["weights"], plan["quantities"])
+    rows = [{"source": i + 1, "alpha": a, "weight": w, "quantity": n}
+            for i, (a, w, n) in enumerate(columns)]
+    return ("plan.csv", rows)
 
 
 def _cmd_weights(config, seed):
@@ -146,12 +140,9 @@ def _cmd_verify(config, seed):
         if err.field:
             err.field = "/config" + err.field.rstrip("/")
         raise
-    rows = [{
-        "check": check,
-        "verdict": report["verdict"],
-        "n_target": report["n_target"],
-    }]
-    csvs = [("verdict.csv", ["check", "verdict", "n_target"], rows)]
+    rows = [{"check": check, "verdict": report["verdict"],
+             "n_target": report["n_target"]}]
+    csvs = [("verdict.csv", rows)]
     fail = report["verdict"] != "pass"
     return report, csvs, fail, [f"check {check}: {report['verdict']}"]
 
@@ -171,8 +162,8 @@ def _cmd_simulate(config, seed):
             raise ConfigError("need one weight per source", field="/weights")
         plan_dict = None
     # every plan's quantities are the full budgets
-    est = mc_expected_kl(ens, weights, ens.source_budgets,
-                         int(config["trials"]), seed)
+    est = mc_expected_kl(ens, weights, ens.source_budgets, config["trials"],
+                         seed)
     results = {
         "ensemble": ens.to_json_dict(),
         "weights": [float(w) for w in weights],
@@ -185,31 +176,17 @@ def _cmd_simulate(config, seed):
     }
     if plan_dict is not None:
         results["plan"] = plan_dict
-    rows = [{"mean": est.mean, "std_error": est.std_error,
-             "trials": est.trials}]
-    csvs = [("estimate.csv", ["mean", "std_error", "trials"], rows)]
+    csvs = [("estimate.csv", [results["estimate"]])]
     lines = [f"expected divergence: {est.mean} (se {est.std_error}, "
              f"{est.trials} trials)"]
     return results, csvs, False, lines
 
 
 def _cmd_sweep(config, seed):
-    ens = config_ensemble(config, seed)
+    ens, result = config_sweep(config, seed, config["grid"])
     axis = config["axis"]
-    idx = int(config["source_index"])
-    trials = int(config["trials"])
-    pinned = config["pinned_weights"]
-    if axis == "weight":
-        result = sweep_weight(ens, idx, config["grid"], trials, seed,
-                              pinned_weights=pinned)
-    else:
-        result = sweep_quantity(ens, idx, config["grid"],
-                                config["rule"], trials, seed,
-                                pinned_weights=pinned)
     results = {"ensemble": ens.to_json_dict(), "sweep": result.to_json_dict()}
-    name = f"sweep_{axis}.csv"
-    csvs = [(name, ["axis_value", "mc_mean", "mc_stderr", "predicted"],
-             result.rows())]
+    csvs = [(f"sweep_{axis}.csv", result.rows())]
     lines = [
         f"{axis} sweep over {len(result.grid)} points",
         f"measured argmin at {axis}={result.grid[result.mc_argmin]}, "
@@ -225,11 +202,6 @@ set ylabel "expected divergence"
 plot "{csv}" using 1:2:3 with yerrorlines title "measured", \\
      "{csv}" using 1:4 with lines title "predicted"
 """
-
-
-def _trace_csv(name, trace):
-    rows = trace.rows()
-    return (name, list(rows[0].keys()), rows)
 
 
 def _cmd_train(config, seed):
@@ -257,7 +229,7 @@ def _cmd_train(config, seed):
         trace = train_multi_source(family, target_data, source_data,
                                    pretrained, cfg, holdout_data=holdout)
         results = {"mode": "multi_source", "trace": trace.to_json_dict()}
-        csvs = [_trace_csv("trace.csv", trace)]
+        csvs = [("trace.csv", trace.rows())]
         lines = [f"stopped after {results['trace']['epochs_run']} epochs "
                  f"({results['trace']['stop_reason']})",
                  f"final weights: {results['trace']['final_weights']}"]
@@ -276,7 +248,7 @@ def _cmd_train(config, seed):
             "mode": "multi_task",
             "traces": [t.to_json_dict() for t in traces],
         }
-        csvs = [_trace_csv(f"trace_task{k + 1}.csv", t)
+        csvs = [(f"trace_task{k + 1}.csv", t.rows())
                 for k, t in enumerate(traces)]
         lines = [f"task {k + 1}: final loss "
                  f"{results['traces'][k]['final_loss']}"
@@ -317,13 +289,13 @@ def _run(args):
 
     written = []
     if args.format in ("json", "both"):
-        report = Report(command=args.command, config=config, seed=seed,
-                        results=results)
-        written.append(write_json(out_dir / "report.json",
-                                  report.to_payload()))
+        versions = {"artifact": __version__, "numpy": np.__version__}
+        payload = {"command": args.command, "config": config, "seed": seed,
+                   "versions": versions, "results": results}
+        written.append(write_json(out_dir / "report.json", payload))
     if args.format in ("csv", "both"):
-        for name, fieldnames, rows in csvs:
-            written.append(write_csv(out_dir / name, fieldnames, rows))
+        for name, rows in csvs:
+            written.append(write_csv(out_dir / name, rows))
         if args.command == "sweep" and getattr(args, "gnuplot", False):
             axis = config["axis"]
             script = _GNUPLOT_TEMPLATE.format(axis=axis,

@@ -25,8 +25,8 @@ pair for softmax regression. Every observation method takes a whole batch
 and passes it through the family's ``check_batch`` first;
 ``loglik_and_score_sum`` gives a batch's summed log likelihood and score
 together, which is all a gradient step needs. Every sampler takes a whole
-count (``whole_count``): 10.7, inf or nan raises ValueError, as a negative
-count does, and is never truncated.
+count (``whole_count``): 10.7, inf, nan or a count above 2**53 raises
+ValueError, as a negative count does, and is never truncated.
 
 The categorical and Gaussian families depend on a batch only through a
 sufficient statistic (outcome counts, the sample sum). Each offers it as
@@ -56,11 +56,15 @@ INTERIOR_FLOOR = 1e-9
 
 def whole_count(n, name, error=ValueError):
     """``n`` as an int; a count that is not a whole number (10.7, inf,
-    nan) raises ``error(message)`` naming ``name``, never truncated. A
-    whole float such as 2000.0 counts as 2000."""
-    if not float(n).is_integer():
+    nan), or that exceeds 2**53, past which floats stop being exact
+    integers, raises ``error(message)`` naming ``name``, never
+    truncated or wrapped. A whole float such as 2000.0 counts as 2000."""
+    if not (isinstance(n, (int, np.integer)) or float(n).is_integer()):
         raise error(f"{name} must be a whole count, got {n}")
-    return int(n)
+    count = int(n)
+    if count > 2 ** 53:
+        raise error(f"{name} must be at most 2**53, got {n}")
+    return count
 
 
 def _sample_count(n):

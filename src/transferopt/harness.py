@@ -19,7 +19,8 @@ from .families import get_family, whole_count
 from .fisher import analytic_fisher
 from .kl import (kl_exact, mc_divergences, mc_expected_kl, mc_fits,
                  mse_kl_bridge, predict_kl_multi, predict_kl_single)
-from .planner import optimal_plan, qp_from_parameters, single_source_weight
+from .planner import (optimal_plan, qp_from_parameters, single_source_weight,
+                      validate_sources)
 from .rng import derive_rng
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "config_params",
     "config_family",
     "config_ensemble",
+    "config_sweep",
     "source_scalars",
     "sweep_weight",
     "sweep_quantity",
@@ -50,6 +52,8 @@ _MAX_DIRECTION_DRAWS = 100
 class TaskEnsemble:
     """One target task plus K source tasks.
 
+    The target and every source vector pass ``family.validate``; a
+    rejected source raises ParameterError naming it (``source i: ...``).
     Budgets are whole counts >= 1, stored as ints; a fractional, infinite
     or nan budget raises ParameterError naming it, never truncated.
     """
@@ -61,8 +65,8 @@ class TaskEnsemble:
     source_budgets: np.ndarray
 
     def __post_init__(self):
-        self.target_params = np.asarray(self.target_params, dtype=float)
-        self.source_params = [np.asarray(p, dtype=float) for p in self.source_params]
+        self.target_params = self.family.validate(self.target_params)
+        self.source_params = validate_sources(self.family, self.source_params)
         self.target_budget = whole_count(self.target_budget, "target_budget",
                                          ParameterError)
         self.source_budgets = np.array(
@@ -159,7 +163,9 @@ def resolve_grid(spec, integer=False):
                 raise ConfigError("grid step must be positive", field="/grid/step")
             # a relative slack of 1e-9 keeps an end point that float error
             # in (stop - start) / step would drop
-            count = int(np.floor((stop - start) / step * (1 + 1e-9))) + 1
+            count = whole_count(
+                np.floor((stop - start) / step * (1 + 1e-9)) + 1,
+                "grid point count", partial(ConfigError, field="/grid"))
             grid = start + step * np.arange(count)
         elif "count" in spec:
             count = whole_count(spec["count"], "grid count",
@@ -241,7 +247,7 @@ def _check_source_index(index, k):
     idx = whole_count(index, "source index",
                       partial(ConfigError, field="/source_index"))
     if not 0 <= idx < k:
-        raise ConfigError(f"source index {index} out of range for {k} sources",
+        raise ConfigError(f"source index {idx} out of range for {k} sources",
                           field="/source_index")
     return idx
 
@@ -298,8 +304,10 @@ def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
                    pinned_weights=None):
     """Measured and predicted divergence as one source's quantity varies.
 
-    ``weight_rule`` is either the string ``"optimal"``, re-optimizing the
-    weight 1/(1 + t*n) at every grid point, or a fixed numeric weight.
+    ``weight_rule`` is either a fixed numeric weight or the string
+    ``"optimal"``: at every grid point the single-source closed form
+    1/(1 + t*n), which is the best weight only when every other weight is
+    zero.
     """
     grid = resolve_grid(grid, integer=True)
     idx = _check_source_index(source_index, ensemble.k)
@@ -416,12 +424,25 @@ def config_ensemble(config, seed):
     return build_ensemble(config_family(config), config, seed)
 
 
+def config_sweep(config, seed, grid):
+    """Ensemble and sweep along a config's ``axis``, from its ensemble,
+    ``source_index``, ``trials``, ``pinned_weights`` (none when absent) and,
+    on the quantity axis, ``rule``; ``grid`` is a spec or a checked grid."""
+    ens = config_ensemble(config, seed)
+    idx, trials = config["source_index"], config["trials"]
+    pinned = config.get("pinned_weights")
+    if config["axis"] == "weight":
+        result = sweep_weight(ens, idx, grid, trials, seed, pinned)
+    else:
+        result = sweep_quantity(ens, idx, grid, config["rule"], trials, seed,
+                                pinned)
+    return ens, result
+
+
 def _check_weight_optimum(config, seed):
     grid = _check_grid(config["grid"])
-    ens = config_ensemble(config, seed)
+    ens, result = config_sweep({**config, "axis": "weight"}, seed, grid)
     idx = int(config["source_index"])
-    trials = int(config["trials"])
-    result = sweep_weight(ens, idx, grid, trials, seed)
     t_i = float(source_scalars(ens)[idx])
     w_star = single_source_weight(t_i, int(ens.source_budgets[idx]))
     star_idx = int(np.argmin(np.abs(result.grid - w_star)))
@@ -442,17 +463,13 @@ def _check_weight_optimum(config, seed):
         "argmin_within_two_steps": bool(within),
         "flat_at_optimum": flat,
         "sweep": result.to_json_dict(),
-        "trials": trials,
     }
 
 
 def _check_quantity_monotone(config, seed):
     grid = _check_grid(config["grid"], integer=True)
-    ens = config_ensemble(config, seed)
-    idx = int(config["source_index"])
-    trials = int(config["trials"])
+    ens, result = config_sweep({**config, "axis": "quantity"}, seed, grid)
     rule = config["rule"]
-    result = sweep_quantity(ens, idx, grid, rule, trials, seed)
     diffs = np.diff(result.predicted)
     pred_ok = bool(np.all(diffs < -1e-12))
     means, ses = result.mc_means, result.mc_stderrs
@@ -467,7 +484,6 @@ def _check_quantity_monotone(config, seed):
         "mc_decreasing_within_noise": mc_ok,
         "first_mc_violation_index": first_violation,
         "sweep": result.to_json_dict(),
-        "trials": trials,
     }
 
 
@@ -476,7 +492,6 @@ def _check_dimension_scaling(config, seed):
     t = float(config["t"])
     n0 = int(config["n_target"])
     n1 = int(config["n_source"])
-    trials = int(config["trials"])
     w_star = single_source_weight(t, n1)
     totals, means, stderrs, constants = [], [], [], []
     for d in dims:
@@ -486,7 +501,7 @@ def _check_dimension_scaling(config, seed):
         th1 = np.full(d, np.sqrt(t))
         ens = TaskEnsemble(family, th0, n0, [th1], np.array([n1]))
         totals.append(predict_kl_single(n0, n1, w_star, t, d).total)
-        est = mc_expected_kl(ens, [w_star], [n1], trials, seed,
+        est = mc_expected_kl(ens, [w_star], [n1], config["trials"], seed,
                              seed_prefix=(d,))
         means.append(est.mean)
         stderrs.append(est.std_error)
@@ -505,21 +520,20 @@ def _check_dimension_scaling(config, seed):
         "mc_means": means,
         "mc_stderrs": stderrs,
         "mc_ratios_ok": mc_ok,
-        "trials": trials,
     }
 
 
 def _check_plan_beats_random(config, seed):
     ens = config_ensemble(config, seed)
-    trials = int(config["trials"])
     n_random = int(config["random_plans"])
     mc_top = int(config["mc_top"])
     mc_trials = int(config["mc_trials"])
     weight_high = float(config["weight_high"])
     qp = ens.qp()
     plan = optimal_plan(qp, n_target=ens.target_budget)
-    plan_est = mc_expected_kl(ens, plan.weights, plan.quantities, trials,
-                              seed, seed_prefix=(_PLAN_STREAM,))
+    plan_est = mc_expected_kl(ens, plan.weights, plan.quantities,
+                              config["trials"], seed,
+                              seed_prefix=(_PLAN_STREAM,))
 
     rng = derive_rng(seed, _RANDOM_DRAW_STREAM)
     weight_draws = rng.uniform(0.0, weight_high, size=(n_random, ens.k))
@@ -554,7 +568,6 @@ def _check_plan_beats_random(config, seed):
         "best_random_mc": float(top_means[best]),
         "within_noise_of_best": within,
         "margin_sigmas": float(margin),
-        "trials": trials,
         "mc_trials": mc_trials,
     }
 
@@ -564,10 +577,9 @@ def _check_estimator_mean(config, seed):
     weights = np.asarray(config["weights"], dtype=float)
     if weights.shape != (ens.k,):
         raise ConfigError("need one weight per source", field="/weights")
-    trials = int(config["trials"])
     estimates = mc_fits(ens.family, ens.target_params, ens.target_budget,
                         zip(ens.source_params, ens.source_budgets, weights),
-                        trials, seed)
+                        config["trials"], seed)
 
     masses = weights * ens.source_budgets
     denom = ens.target_budget + masses.sum()
@@ -577,7 +589,7 @@ def _check_estimator_mean(config, seed):
     expected = expected / denom
 
     observed = estimates.mean(axis=0)
-    ses = estimates.std(axis=0, ddof=1) / np.sqrt(trials)
+    ses = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
     sigmas = np.abs(observed - expected) / np.where(ses > 0, ses, np.inf)
     return bool(np.all(sigmas <= _SIGMAS)), ens, {
         "weights": [float(w) for w in weights],
@@ -586,7 +598,6 @@ def _check_estimator_mean(config, seed):
         "stderrs": [float(v) for v in ses],
         "sigmas": [float(v) for v in sigmas],
         "max_sigma": float(sigmas.max()),
-        "trials": trials,
     }
 
 
@@ -594,13 +605,12 @@ def _check_kl_mse_bridge(config, seed):
     family = config_family(config)
     th0 = config_params(family, config["target_params"], "/target_params")
     n0 = int(config["n_target"])
-    trials = int(config["trials"])
     rel_tol = float(config["rel_tol"])
     # both sides of the bridge need a closed form: a family without the
     # divergence or the information matrix fails here, before any trial
     kl_exact(family, th0, th0)
     analytic_fisher(family, th0)
-    fits = mc_fits(family, th0, n0, [], trials, seed)
+    fits = mc_fits(family, th0, n0, [], config["trials"], seed)
     lhs, rhs = mse_kl_bridge(family, th0, fits,
                              mc_divergences(family, th0, fits))
     rel_gap = abs(lhs - rhs) / abs(lhs)
@@ -609,7 +619,6 @@ def _check_kl_mse_bridge(config, seed):
         "half_fisher_mse": rhs,
         "rel_gap": float(rel_gap),
         "rel_tol": rel_tol,
-        "trials": trials,
     }
 
 
@@ -635,16 +644,16 @@ def verify_claim(check, config, seed):
     half the Fisher-weighted mean squared error). ``config`` is validated
     against the check's schema entry, here only; the check's defaults fill
     what it leaves out. A check returns its pass flag, its ensemble (or
-    target budget and distance constants) and its details; the envelope is
-    built here.
+    target budget and distance constants) and its details; the envelope,
+    with the trial count in the details, is built here.
     """
     if check not in _CHECKS:
         known = ", ".join(sorted(_CHECKS))
         raise ConfigError(f"unknown check '{check}' (known: {known})",
                           field="/check")
     validate_config(check, config)
-    passed, scale, details = _CHECKS[check]({**DEFAULTS[check], **config},
-                                            seed)
+    settings = {**DEFAULTS[check], **config}
+    passed, scale, details = _CHECKS[check](settings, seed)
     if isinstance(scale, TaskEnsemble):
         scale = scale.target_budget, scale.regime_constants
     n_target, constants = scale
@@ -654,5 +663,5 @@ def verify_claim(check, config, seed):
         "verdict": "pass" if passed else "fail",
         "n_target": int(n_target),
         "regime_constants": [float(c) for c in constants],
-        "details": details,
+        "details": {**details, "trials": int(settings["trials"])},
     }

@@ -27,6 +27,7 @@ __all__ = [
     "single_source_weight",
     "build_qp_matrix",
     "qp_from_parameters",
+    "validate_sources",
     "solve_simplex_qp",
     "optimal_plan",
     "plan_from_parameters",
@@ -170,17 +171,24 @@ def build_qp_matrix(directions, fisher, budgets, d):
     return QpMatrix(th.T @ fisher @ th, budgets, d)
 
 
+def validate_sources(family, source_params):
+    """Each source vector through ``family.validate``; a rejected one
+    raises ParameterError naming it (``source i: ...``)."""
+    checked = []
+    for i, p in enumerate(source_params):
+        try:
+            checked.append(family.validate(p))
+        except ParameterError as err:
+            raise ParameterError(f"source {i}: {err}") from err
+    return checked
+
+
 def qp_from_parameters(family, target_params, source_params, budgets):
     """QpMatrix of the displacement columns theta_i - theta_0 against the
     analytic information matrix at the target: every analytic plan's. A
     source that ``family.validate`` rejects raises ParameterError naming it."""
     th0 = np.asarray(target_params, dtype=float)
-    cols = []
-    for i, p in enumerate(source_params):
-        try:
-            cols.append(family.validate(p) - th0)
-        except ParameterError as err:
-            raise ParameterError(f"source {i}: {err}") from err
+    cols = [p - th0 for p in validate_sources(family, source_params)]
     return build_qp_matrix(np.stack(cols, axis=1), analytic_fisher(family, th0),
                            budgets, family.dim)
 

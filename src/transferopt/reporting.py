@@ -2,19 +2,16 @@
 
 Identical inputs must produce byte-identical files, so nothing here writes
 timestamps or timings; the CLI sends wall-clock numbers to stderr instead.
-JSON payloads are key-sorted; CSV uses a header row, '.' decimals, and
-bare newline row endings.
+JSON payloads are key-sorted; CSV takes its header row from the first
+row's keys and uses '.' decimals and bare newline row endings.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from . import __version__
 
 
 def jsonable(obj):
@@ -35,14 +32,10 @@ def jsonable(obj):
     return obj
 
 
-def dump_json(payload):
-    return json.dumps(jsonable(payload), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
-
-
 def write_json(path, payload):
     path = Path(path)
-    path.write_text(dump_json(payload), encoding="utf-8")
+    path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2,
+                               allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 
@@ -55,30 +48,19 @@ def _cell(value):
     return str(value)
 
 
-def write_csv(path, fieldnames, rows):
+def write_csv(path, rows):
+    """One header row, the first row's keys, then one line per row; a row
+    with other keys, or the same keys in another order, raises ValueError
+    before anything is written."""
+    header = list(rows[0])
+    for row in rows:
+        if list(row) != header:
+            raise ValueError(f"csv row keys {list(row)} differ from the "
+                             f"header {header}")
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(row[name]) for name in fieldnames])
+            writer.writerow([_cell(v) for v in row.values()])
     return path
-
-
-@dataclass
-class Report:
-    """Reproducible run record: config echo, seed, versions, results."""
-
-    command: str
-    config: dict
-    seed: int
-    results: dict
-
-    def to_payload(self):
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": int(self.seed),
-            "versions": {"artifact": __version__, "numpy": np.__version__},
-            "results": self.results,
-        }

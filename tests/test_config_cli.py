@@ -21,6 +21,7 @@ from transferopt.config import COMMANDS, DEFAULTS, load_schema, validate_config
 from transferopt.errors import ConfigError
 from transferopt.families import Categorical, SoftmaxRegression
 from transferopt.harness import verify_claim
+from transferopt.reporting import write_csv
 
 from helpers import CONFIGS, GOLDEN, load_json, predicted_single_oracle
 
@@ -313,6 +314,30 @@ def test_a_fractional_quantity_grid_point_exits_2_naming_it(
         assert err.startswith(f"config error at {field}: ")
         assert f"got {point}\n" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name, change, error", [
+    ("weights_golden.json", {"budgets": [1e308, 800, 1200]},
+     "config error: budgets must be at most 2**53, got 1e+308"),
+    ("simulate_plan.json", {"n_target": 1e308},
+     "config error: n_target must be at most 2**53, got 1e+308"),
+    ("sweep_weight.json", {"grid": {"start": 0, "stop": 1e308, "step": 0.5}},
+     "config error at /grid: grid point count must be a whole count, got inf"),
+    ("sweep_quantity.json", {"grid": [0, 1e308]},
+     "config error at /grid: quantity grid point must be at most 2**53, "
+     "got 1e+308"),
+], ids=["budget", "n_target", "weight-grid", "quantity-grid"])
+def test_a_count_above_2_53_exits_2(name, change, error, tmp_path, capsys):
+    """Floats past 2**53 are not exact counts: the budget planned the
+    wrapped quantity -2**63 and exited 0, the others traced back with
+    OverflowError."""
+    config = dict(load_json(CONFIGS / name), **change)
+    rc, _, err = run([name.split("_")[0], "--config",
+                      write_cfg(tmp_path, config), "--out",
+                      str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert err.startswith(error + "\n")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_a_whole_float_quantity_grid_point_runs(tmp_path, capsys):
@@ -669,6 +694,21 @@ def test_out_env_var_is_honored(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert (target / "report.json").exists()
     assert (target / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("second", [{"b": 3.5, "a": 2}, {"a": 2},
+                                    {"a": 2, "b": 3.5, "c": 0}],
+                         ids=["reordered", "missing", "extra"])
+def test_write_csv_rejects_a_row_whose_keys_differ_from_the_header(
+        second, tmp_path):
+    """The header is the first row's keys; another row's keys would shift
+    its columns, so nothing is written."""
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="differ from the header"):
+        write_csv(path, [{"a": 1, "b": 2.5}, second])
+    assert not path.exists()
+    write_csv(path, [{"a": 1, "b": 2.5}, {"a": 2, "b": 3.5}])
+    assert path.read_text() == "a,b\n1,2.5\n2,3.5\n"
 
 
 def test_report_payload_shape(tmp_path, capsys):

@@ -81,6 +81,13 @@ def test_ensemble_rejects_non_whole_budgets(cat3, target, budgets, message):
                      np.array(budgets))
 
 
+def test_ensemble_rejects_a_target_the_family_rejects(cat3):
+    """The target passes ``family.validate`` when the ensemble is built,
+    as each source does (``test_plans_reject_a_source_the_family_rejects``)."""
+    with pytest.raises(ParameterError, match="free probabilities"):
+        TaskEnsemble(cat3, [0.3, 0.4, 0.1], 100, [[0.3, 0.4]], [100])
+
+
 def test_ensemble_stores_whole_float_budgets_as_counts(cat3):
     th0 = np.array([0.3, 0.4])
     ens = TaskEnsemble(cat3, th0, 2000.0, [th0.copy()], np.array([1200.0]))

@@ -163,14 +163,14 @@ def test_plan_from_parameters_is_the_plan_of_its_qp(name, params, target,
 @pytest.mark.parametrize("bad", [[0.7, 0.6], [0.2, 0.3, 0.1]],
                          ids=["off-simplex", "wrong-length"])
 def test_plans_reject_a_source_the_family_rejects(cat3, bad):
-    """A source is checked by ``family.validate``, as the target is; an
-    off-simplex source used to plan, a wrong-length one hit numpy."""
+    """A source is checked by ``family.validate``, as the target is, both
+    by a plan and when an ensemble is built; an off-simplex source used
+    to plan, a wrong-length one hit numpy."""
     sources, budgets = [[0.32, 0.37], bad], [100, 100]
     with pytest.raises(ParameterError, match="^source 1: "):
         plan_from_parameters(cat3, [0.3, 0.4], sources, budgets, 100)
-    ens = TaskEnsemble(cat3, [0.3, 0.4], 100, sources, budgets)
     with pytest.raises(ParameterError, match="^source 1: "):
-        ens.qp()
+        TaskEnsemble(cat3, [0.3, 0.4], 100, sources, budgets)
 
 
 def test_qp_matrix_rejects_bad_inputs(gauss3):

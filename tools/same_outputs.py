@@ -4,6 +4,8 @@
 
 Runs, once per checkout:
 - every bundled config in ``configs/`` with its own seed;
+- two ``sweep`` runs with pinned weights, which no bundled config or
+  perfbench job sets (``PINNED_SWEEPS``);
 - every job that ``perfbench/workloads.py`` generates for its three
   workloads at seeds 1 and 3, with the job's seed;
 - at each of those seeds, one library run that writes the plan
@@ -47,6 +49,13 @@ FAMILY_CASES = tuple(
 FAMILY_BATCH = 40
 FIT_RIDGE = 1e-3
 
+# axis-specific keys of the pinned-weight sweeps, each on the ensemble of
+# configs/weights_ensemble.json: source 0 swept, source 1 pinned at 0.2
+PINNED_SWEEPS = {
+    "weight": {"grid": {"start": 0.0, "stop": 2.0, "count": 5}},
+    "quantity": {"grid": [0, 500, 1000, 1500], "rule": "optimal"},
+}
+
 
 def _runs(root, out):
     """``(name, run)`` of every run, bundled configs first; ``run(run_dir)``
@@ -61,6 +70,16 @@ def _runs(root, out):
             raise SystemExit(f"no command for bundled config {path.name}")
         runs.append((f"bundled/{path.stem}",
                      partial(_cli, [command, "--config", str(path)])))
+    for axis, keys in PINNED_SWEEPS.items():
+        config = json.loads((root / "configs" / "weights_ensemble.json")
+                            .read_text(encoding="utf-8"))
+        config.update(axis=axis, source_index=0, pinned_weights=[0, 0.2],
+                      trials=50, **keys)
+        path = out / "configs" / f"pinned_{axis}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(config), encoding="utf-8")
+        runs.append((f"pinned/sweep_{axis}",
+                     partial(_cli, ["sweep", "--config", str(path)])))
     for seed in PERFBENCH_SEEDS:
         for name, workload in workloads.WORKLOADS.items():
             bench = workload(root, out / "perfbench" / f"{name}-{seed}", seed)
