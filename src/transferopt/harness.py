@@ -22,6 +22,7 @@ from .kl import (kl_exact, mc_divergences, mc_expected_kl, mc_fits,
 from .planner import (optimal_plan, qp_from_parameters, single_source_weight,
                       validate_sources)
 from .rng import derive_rng
+from .weighted_mle import source_weights
 
 __all__ = [
     "TaskEnsemble",
@@ -255,11 +256,10 @@ def _check_source_index(index, k):
 def _pinned(pinned_weights, k):
     if pinned_weights is None:
         return np.zeros(k)
-    w = np.asarray(pinned_weights, dtype=float)
-    if w.shape != (k,) or not np.all((w >= 0) & (w < np.inf)):
-        raise ConfigError("pinned weights must be K finite nonnegative values",
-                          field="/pinned_weights")
-    return w.copy()
+    try:
+        return source_weights(pinned_weights, k)
+    except ValueError as err:
+        raise ConfigError(str(err), field="/pinned_weights") from err
 
 
 def _sweep(axis, ensemble, grid, gram, weights, quantities, trials, seed):

@@ -129,6 +129,7 @@ def _newton(family, target, sources, weights, ridge):
     theta = search_start(family)
     blocks = _weighted_blocks(target, sources, weights)
     g = weighted_loglik_grad(family, theta, target, sources, weights, ridge)
+    rounding_floor = NEWTON_TOL * max(1.0, float(np.linalg.norm(g)))
     for _ in range(NEWTON_MAX_ITER):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= NEWTON_TOL:
@@ -141,24 +142,22 @@ def _newton(family, target, sources, weights, ridge):
         except np.linalg.LinAlgError:
             step = g / max(gnorm, 1.0)
         # backtrack until the iterate is valid and the gradient norm drops
-        scale = 1.0
-        for _ in range(60):
+        for scale in 0.5 ** np.arange(60):
             cand = theta + scale * step
             try:
                 family.validate(cand)
                 gc = weighted_loglik_grad(family, cand, target, sources,
                                           weights, ridge)
             except Exception:
-                scale *= 0.5
                 continue
-            if float(np.linalg.norm(gc)) < gnorm or scale < 1e-12:
+            if float(np.linalg.norm(gc)) < gnorm:
                 theta, g = cand, gc
                 break
-            scale *= 0.5
         else:
-            raise ConvergenceError(
-                "newton line search stalled", last_iterate=theta, residual=gnorm
-            )
+            if gnorm <= rounding_floor:
+                return theta
+            raise ConvergenceError("newton line search stalled",
+                                   last_iterate=theta, residual=gnorm)
     raise ConvergenceError(
         f"no convergence after {NEWTON_MAX_ITER} newton iterations",
         last_iterate=theta,
@@ -171,10 +170,11 @@ def fit_weighted_mle(family, target, sources=(), weights=(), ridge=0.0):
 
     ``target`` is the target samples, ``sources`` a sequence of source
     batches and ``weights`` one finite nonnegative weight per source.
-    A family with a sufficient statistic (categorical: weighted outcome
-    counts; Gaussian: weighted means) is fitted in closed form when
-    ``ridge`` is 0. Every other fit is damped Newton ascent, which drives
-    the gradient norm to at most ``NEWTON_TOL``.
+    Categorical and Gaussian fits (weighted counts, weighted means) are
+    closed form when ``ridge`` is 0. Every other fit is damped Newton
+    ascent. It stops at a gradient norm of at most ``NEWTON_TOL``, or at
+    the rounding floor ``NEWTON_TOL * max(1, |g0|)`` (g0 at the start) when
+    no halving of the step lowers it; a stall above it is ConvergenceError.
     """
     blocks = _weighted_blocks(target, sources, weights)
     if family.n_samples(target) < 1:

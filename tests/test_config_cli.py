@@ -318,15 +318,27 @@ def test_a_fractional_quantity_grid_point_exits_2_naming_it(
 
 @pytest.mark.parametrize("name, change, error", [
     ("weights_golden.json", {"budgets": [1e308, 800, 1200]},
-     "config error: budgets must be at most 2**53, got 1e+308"),
+     "config error at /budgets/0: 1e+308 is greater than the maximum of "
+     "9007199254740992"),
     ("simulate_plan.json", {"n_target": 1e308},
-     "config error: n_target must be at most 2**53, got 1e+308"),
+     "config error at /n_target: 1e+308 is greater than the maximum of "
+     "9007199254740992"),
+    ("sweep_weight.json", {"trials": 1e308},
+     "config error at /trials: 1e+308 is greater than the maximum of "
+     "9007199254740992"),
+    ("sweep_weight.json", {"sources": [{"c": 2.0, "budget": 1e308}]},
+     "config error at /sources/0/budget: 1e+308 is greater than the "
+     "maximum of 9007199254740992"),
+    ("train_two_source.json", {"holdout_n": 1e308},
+     "config error at /holdout_n: 1e+308 is greater than the maximum of "
+     "9007199254740992"),
     ("sweep_weight.json", {"grid": {"start": 0, "stop": 1e308, "step": 0.5}},
      "config error at /grid: grid point count must be a whole count, got inf"),
     ("sweep_quantity.json", {"grid": [0, 1e308]},
      "config error at /grid: quantity grid point must be at most 2**53, "
      "got 1e+308"),
-], ids=["budget", "n_target", "weight-grid", "quantity-grid"])
+], ids=["budget", "n_target", "trials", "source-budget", "holdout_n",
+        "weight-grid", "quantity-grid"])
 def test_a_count_above_2_53_exits_2(name, change, error, tmp_path, capsys):
     """Floats past 2**53 are not exact counts: the budget planned the
     wrapped quantity -2**63 and exited 0, the others traced back with

@@ -445,6 +445,20 @@ def test_sub_budget_curve_is_monotone(rng):
         sub_budget_curve(qp.m, 1000, [0.5])
 
 
+def test_full_budgets_never_lose_to_any_sub_budgets(rng):
+    """Using every sample of every source is optimal: for random sub-budgets
+    1 <= n_i <= N_i, not only a common fraction of every budget, the plan
+    on the full budgets predicts no larger divergence."""
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        qp = qp_from_gram(rng, k, budget_lo=1, budget_hi=4000)
+        n0 = int(rng.integers(1, 4000))
+        sub = rng.integers(1, qp.budgets.astype(int) + 1)
+        full = optimal_plan(qp, n0).predicted_kl.total
+        part = optimal_plan(QpMatrix(qp.gram, sub, qp.d), n0)
+        assert full <= part.predicted_kl.total * (1 + 1e-9)
+
+
 def test_plan_json_payload_shape(rng):
     plan = optimal_plan(qp_from_gram(rng, 2), n_target=800)
     payload = plan.to_json_dict()

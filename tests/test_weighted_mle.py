@@ -1,11 +1,16 @@
 """Weighted maximum likelihood: closed forms, iterative agreement, the
-mixture interpretation, and the estimator's exact mean."""
+mixture interpretation, the estimator's exact mean, and Newton's line
+search."""
+
+import json
 
 import numpy as np
 import pytest
 
-from transferopt import ConvergenceError, fit_weighted_mle, get_family
+from transferopt import (ConvergenceError, ParameterError, fit_weighted_mle,
+                         get_family)
 from transferopt import weighted_mle
+from transferopt.cli import main
 from transferopt.families import SoftmaxRegression
 from transferopt.rng import derive_rng
 from transferopt.trainer import weighted_loss_gradient
@@ -215,3 +220,76 @@ def test_one_weight_per_source_block(cat3, weights):
     for call in calls:
         with pytest.raises(ValueError, match="one weight per source block"):
             call()
+
+
+def _outcomes(counts):
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+def _ridge_fit(family, xs, monkeypatch):
+    """A ridge-1e-3 fit, with Newton capped at 100 iterations so that a
+    search that creeps fails fast."""
+    monkeypatch.setattr(weighted_mle, "NEWTON_MAX_ITER", 100)
+    return fit_weighted_mle(family, xs, ridge=1e-3)
+
+
+def test_a_fit_at_its_rounding_floor_returns(cat3, monkeypatch):
+    """The optimum is reached in 8 iterations, where the 1/p terms leave a
+    gradient norm of 1.04e-9, above NEWTON_TOL: no halving lowers it, and
+    a step of 9e-13 used to repeat until the iteration cap."""
+    xs = _outcomes([5000, 1, 1])
+    theta = _ridge_fit(cat3, xs, monkeypatch)
+    g0 = weighted_loglik_grad(cat3, weighted_mle.search_start(cat3), xs,
+                              ridge=1e-3)
+    g = weighted_loglik_grad(cat3, theta, xs, ridge=1e-3)
+    assert np.linalg.norm(g) <= weighted_mle.NEWTON_TOL * np.linalg.norm(g0)
+
+
+def test_a_line_search_stalled_above_its_floor_raises(cat3, monkeypatch):
+    """Counts [3, 0, 0] put the optimum on the simplex's floor: every step
+    toward it leaves the family, so the search stops at once."""
+    with pytest.raises(ConvergenceError, match="line search stalled"):
+        _ridge_fit(cat3, _outcomes([3, 0, 0]), monkeypatch)
+
+
+def test_newton_halves_a_step_that_leaves_the_simplex(cat3, monkeypatch):
+    """Two candidates leave the simplex and are halved back inside it."""
+    rejected, family_validate = [], cat3.validate
+
+    def validate(theta, *args):
+        try:
+            return family_validate(theta, *args)
+        except ParameterError:
+            rejected.append(theta)
+            raise
+    monkeypatch.setattr(cat3, "validate", validate)
+    theta = _ridge_fit(cat3, _outcomes([1000, 1, 1]), monkeypatch)
+    assert len(rejected) == 2
+    assert theta.tolist() == [0.998003988049785, 0.0009980059741134994]
+
+
+def test_train_on_a_source_at_its_rounding_floor_exits_0(tmp_path,
+                                                         monkeypatch):
+    """Pretraining this source's ridge fit used to creep for 98 s, then
+    exit 3 with no convergence."""
+    monkeypatch.setattr(weighted_mle, "NEWTON_MAX_ITER", 100)
+    config = {"mode": "multi_source",
+              "family": {"name": "categorical",
+                         "params": {"num_outcomes": 3}},
+              "target": {"params": [0.3, 0.4], "n": 100},
+              "sources": [{"params": [0.999, 0.0005], "n": 5000}],
+              "train": {"learning_rate": 0.001, "epochs": 2},
+              "pretrain_ridge": 0.001, "seed": 0}
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_singular_hessian_steps_along_the_gradient(cat3):
+    """Every sample on outcome 2 leaves a rank-one Hessian at zero ridge:
+    Newton steps along the gradient toward that vertex, whose optimum lies
+    off the family, until no valid step lowers the gradient norm."""
+    with pytest.raises(ConvergenceError, match="line search stalled") as exc:
+        weighted_mle._newton(cat3, np.array([2, 2, 2]), [], [], 0.0)
+    assert exc.value.last_iterate.sum() < 0.1
