@@ -25,8 +25,7 @@ COMMANDS = ("weights", "simulate", "sweep", "train", "verify")
 DEFAULTS = {
     "weights": {"seed": 0},
     "simulate": {"seed": 0, "weights": "optimal"},
-    "sweep": {"seed": 0, "source_index": 0, "trials": 4000, "rule": "optimal",
-              "pinned_weights": None},
+    "sweep": {"seed": 0, "source_index": 0, "trials": 4000, "rule": "optimal"},
     "train": {"seed": 0, "holdout_n": 0, "pretrain_ridge": 0.0},
     "verify": {"seed": 0},
     "weight-optimum": {"source_index": 0, "trials": 4000},

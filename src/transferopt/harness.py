@@ -22,7 +22,6 @@ from .kl import (kl_exact, mc_divergences, mc_expected_kl, mc_fits,
 from .planner import (optimal_plan, qp_from_parameters, single_source_weight,
                       validate_sources)
 from .rng import derive_rng
-from .weighted_mle import source_weights
 
 __all__ = [
     "TaskEnsemble",
@@ -253,15 +252,6 @@ def _check_source_index(index, k):
     return idx
 
 
-def _pinned(pinned_weights, k):
-    if pinned_weights is None:
-        return np.zeros(k)
-    try:
-        return source_weights(pinned_weights, k)
-    except ValueError as err:
-        raise ConfigError(str(err), field="/pinned_weights") from err
-
-
 def _sweep(axis, ensemble, grid, gram, weights, quantities, trials, seed):
     """Measured and predicted curves over a grid, where row i of the
     ``(len(grid), K)`` arrays ``weights`` and ``quantities`` holds grid
@@ -285,37 +275,34 @@ def _sweep(axis, ensemble, grid, gram, weights, quantities, trials, seed):
                        int(np.argmin(means)), int(np.argmin(preds)))
 
 
-def sweep_weight(ensemble, source_index, grid, trials, seed,
-                 pinned_weights=None):
-    """Measured and predicted divergence as one source's weight varies."""
+def sweep_weight(ensemble, source_index, grid, trials, seed):
+    """Measured and predicted divergence as one source's weight varies;
+    every other source has weight zero."""
     grid = resolve_grid(grid)
     if np.any(grid < 0):
         raise ConfigError("weights must be nonnegative", field="/grid")
     idx = _check_source_index(source_index, ensemble.k)
-    rows = (len(grid), 1)
-    weights = np.tile(_pinned(pinned_weights, ensemble.k), rows)
+    weights = np.zeros((len(grid), ensemble.k))
     weights[:, idx] = grid
-    quantities = np.tile(ensemble.source_budgets.astype(float), rows)
+    quantities = np.tile(ensemble.source_budgets.astype(float), (len(grid), 1))
     return _sweep("weight", ensemble, grid, ensemble.qp().gram, weights,
                   quantities, trials, seed)
 
 
-def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
-                   pinned_weights=None):
-    """Measured and predicted divergence as one source's quantity varies.
+def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed):
+    """Measured and predicted divergence as one source's quantity varies;
+    every other source has weight zero.
 
     ``weight_rule`` is either a fixed numeric weight or the string
     ``"optimal"``: at every grid point the single-source closed form
-    1/(1 + t*n), which is the best weight only when every other weight is
-    zero.
+    1/(1 + t*n), the best weight for that quantity.
     """
     grid = resolve_grid(grid, integer=True)
     idx = _check_source_index(source_index, ensemble.k)
     if grid[0] < 0 or grid[-1] > ensemble.source_budgets[idx]:
         raise ConfigError("quantity grid must stay within [0, source budget]",
                           field="/grid")
-    rows = (len(grid), 1)
-    weights = np.tile(_pinned(pinned_weights, ensemble.k), rows)
+    weights = np.zeros((len(grid), ensemble.k))
     gram = ensemble.qp().gram
     if weight_rule == "optimal":
         t_i = float(gram[idx, idx]) / ensemble.family.dim
@@ -325,7 +312,7 @@ def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed,
         if fixed < 0:
             raise ConfigError("fixed weight must be nonnegative", field="/rule")
         weights[:, idx] = fixed
-    quantities = np.tile(ensemble.source_budgets.astype(float), rows)
+    quantities = np.tile(ensemble.source_budgets.astype(float), (len(grid), 1))
     quantities[:, idx] = grid
     return _sweep("quantity", ensemble, grid, gram, weights, quantities,
                   trials, seed)
@@ -426,16 +413,14 @@ def config_ensemble(config, seed):
 
 def config_sweep(config, seed, grid):
     """Ensemble and sweep along a config's ``axis``, from its ensemble,
-    ``source_index``, ``trials``, ``pinned_weights`` (none when absent) and,
-    on the quantity axis, ``rule``; ``grid`` is a spec or a checked grid."""
+    ``source_index``, ``trials`` and, on the quantity axis, ``rule``;
+    ``grid`` is a spec or a checked grid."""
     ens = config_ensemble(config, seed)
     idx, trials = config["source_index"], config["trials"]
-    pinned = config.get("pinned_weights")
     if config["axis"] == "weight":
-        result = sweep_weight(ens, idx, grid, trials, seed, pinned)
+        result = sweep_weight(ens, idx, grid, trials, seed)
     else:
-        result = sweep_quantity(ens, idx, grid, config["rule"], trials, seed,
-                                pinned)
+        result = sweep_quantity(ens, idx, grid, config["rule"], trials, seed)
     return ens, result
 
 

@@ -21,7 +21,7 @@ from transferopt.config import COMMANDS, DEFAULTS, load_schema, validate_config
 from transferopt.errors import ConfigError
 from transferopt.families import Categorical, SoftmaxRegression
 from transferopt.harness import verify_claim
-from transferopt.reporting import write_csv
+from transferopt.reporting import jsonable, write_csv
 
 from helpers import CONFIGS, GOLDEN, load_json, predicted_single_oracle
 
@@ -115,6 +115,10 @@ _MALFORMED = {
         "/config/sources/0", []),
     "misspelled-check-key": ("verify", _check(
         "kl-mse-bridge", dict(_BRIDGE, trails=20)), "/config", ["trails"]),
+    "estimator-mean-weight-count": ("verify", _check(
+        "estimator-mean", dict(_ENSEMBLE_CFG, weights=[0.5], trials=10,
+                               sources=_ENSEMBLE_CFG["sources"] * 2)),
+        "/config/weights", ["need one weight per source"]),
     "one-trial": ("verify", _check(
         "estimator-mean", dict(_ENSEMBLE_CFG, weights=[0.5], trials=1)),
         "/config/trials", []),
@@ -149,8 +153,9 @@ _MALFORMED = {
                               "/grid", ["nonnegative"]),
     "sweep-quantity-past-budget": ("sweep", dict(
         _QUANTITY_SWEEP, grid=[0, 5000]), "/grid", ["budget"]),
-    "sweep-pinned-weights-length": ("sweep", dict(
-        _WEIGHT_SWEEP, pinned_weights=[0.1, 0.2]), "/pinned_weights", []),
+    "sweep-pinned-weights": ("sweep", dict(
+        _WEIGHT_SWEEP, pinned_weights=[0.0]), "/",
+        ["'pinned_weights' was unexpected"]),
     "one-point-quantity-grid": ("simulate", _check(
         "quantity-monotone", dict(_GRID_CHECK, grid=[100])),
         "/config/grid", []),
@@ -721,6 +726,13 @@ def test_write_csv_rejects_a_row_whose_keys_differ_from_the_header(
     assert not path.exists()
     write_csv(path, [{"a": 1, "b": 2.5}, {"a": 2, "b": 3.5}])
     assert path.read_text() == "a,b\n1,2.5\n2,3.5\n"
+
+
+def test_jsonable_turns_numpy_values_into_strict_json():
+    got = jsonable({1: np.array([1.5, np.nan]), "n": np.int64(7),
+                    "ok": np.bool_(True), "x": (np.float32(np.inf),)})
+    assert got == {"1": [1.5, None], "n": 7, "ok": True, "x": [None]}
+    assert [type(got[k]) for k in ("n", "ok")] == [int, bool]
 
 
 def test_report_payload_shape(tmp_path, capsys):

@@ -180,6 +180,17 @@ def test_no_count_or_seed_is_truncated(case):
         call()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: families.Categorical(1), "at least 2 outcomes"),
+    (lambda: families.GaussianIso(0), "dim >= 1"),
+    (lambda: families.SoftmaxRegression(0, 3), "feature_dim >= 1"),
+    (lambda: families.SoftmaxRegression(2, 1), "num_classes >= 2"),
+], ids=["categorical", "gaussian_iso", "softmax-features", "softmax-classes"])
+def test_a_family_below_its_smallest_size_is_rejected(make, message):
+    with pytest.raises(ParameterError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("n", [2 ** 53 + 2, 2 ** 70, 1e308, 10 ** 400],
                          ids=["2**53+2", "2**70", "1e308", "10**400"])
 def test_whole_count_rejects_a_count_above_2_53(n):

@@ -19,6 +19,7 @@ from transferopt import (
 )
 from transferopt import harness
 from transferopt.harness import TaskEnsemble, build_ensemble, resolve_grid, source_scalars
+from transferopt.kl import predict_kl_single
 from transferopt.planner import qp_from_parameters
 from transferopt.rng import derive_rng
 
@@ -66,6 +67,13 @@ def test_ensemble_rejects_inconsistent_record(cat3):
     th0 = np.array([0.3, 0.4])
     with pytest.raises(ParameterError):
         TaskEnsemble(cat3, th0, 0, [th0.copy()], np.array([100]))
+    with pytest.raises(ParameterError, match="at least one source"):
+        TaskEnsemble(cat3, th0, 100, [], np.array([], dtype=int))
+    with pytest.raises(ParameterError, match="nonnegative"):
+        build_ensemble(cat3, {
+            "target_params": [0.3, 0.4], "n_target": 100,
+            "sources": [{"c": -1.0, "budget": 50, "direction_seed": 0}],
+        }, 5)
 
 
 @pytest.mark.parametrize("target, budgets, message", [
@@ -133,6 +141,8 @@ def test_resolve_grid_forms():
         resolve_grid({"start": 0, "stop": 1, "step": -0.5})
     with pytest.raises(ConfigError):
         resolve_grid({"start": 0, "stop": 1})
+    with pytest.raises(ConfigError, match="needs start"):
+        resolve_grid({"stop": 1, "count": 2})
 
 
 def test_a_step_grid_never_passes_stop():
@@ -200,6 +210,30 @@ def test_quantity_sweep_monotone_under_optimal_rule(cat3):
         assert res.mc_means[i + 1] <= res.mc_means[i] + slack
 
 
+def test_a_sweep_gives_every_other_source_weight_zero(cat3):
+    """Source 1 enters neither curve, so each prediction is the swept
+    source's own, and the optimal rule is the best weight at every point."""
+    ens = build_ensemble(cat3, {
+        "target_params": [0.3, 0.4], "n_target": 1000,
+        "sources": [{"c": 1.0, "budget": 1000, "direction_seed": 0},
+                    {"c": 0.5, "budget": 2000, "direction_seed": 1}],
+    }, 61)
+    t0, d = float(source_scalars(ens)[0]), cat3.dim
+
+    def alone(n, w):
+        return predict_kl_single(1000, n, w, t0, d).total
+
+    grid = [100, 500, 1000]
+    res = sweep_quantity(ens, 0, grid, "optimal", 2, 61)
+    for n, got in zip(grid, res.predicted):
+        w_star = 1.0 / (1.0 + t0 * n)
+        assert got == pytest.approx(alone(n, w_star), rel=1e-12)
+        assert got < min(alone(n, 0.9 * w_star), alone(n, 1.1 * w_star))
+    res = sweep_weight(ens, 0, [0.0, 0.5, 2.0], 2, 61)
+    for w, got in zip([0.0, 0.5, 2.0], res.predicted):
+        assert got == pytest.approx(alone(1000, w), rel=1e-12)
+
+
 def test_sweep_argument_errors(cat3):
     ens = build_ensemble(cat3, {
         "target_params": [0.3, 0.4], "n_target": 200,
@@ -217,23 +251,6 @@ def test_sweep_argument_errors(cat3):
     with pytest.raises(ConfigError) as exc:
         sweep_quantity(ens, 0, [0, 300], -2.0, 10, 3)
     assert exc.value.field == "/rule"
-    with pytest.raises(ConfigError) as exc:
-        sweep_weight(ens, 0, [0.0, 1.0], 10, 3, pinned_weights=[0.1, 0.2])
-    assert exc.value.field == "/pinned_weights"
-
-
-@pytest.mark.parametrize("pinned", [[0.0, math.nan], [0.0, math.inf]],
-                         ids=["nan", "inf"])
-def test_non_finite_pinned_weights_are_a_config_error(cat3, pinned):
-    """nan swept on with nan predictions, and inf warned in a divide."""
-    ens = build_ensemble(cat3, {
-        "target_params": [0.3, 0.4], "n_target": 200,
-        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0},
-                    {"c": 2.0, "budget": 300, "direction_seed": 1}],
-    }, 3)
-    with pytest.raises(ConfigError) as exc:
-        sweep_weight(ens, 0, [0.0, 1.0], 10, 3, pinned_weights=pinned)
-    assert exc.value.field == "/pinned_weights"
 
 
 def test_an_ensemble_plans_through_the_parameter_qp(cat3):
@@ -302,6 +319,8 @@ def test_brute_force_limits():
         brute_force_simplex(np.eye(2), 0.2)
     with pytest.raises(ValueError):
         brute_force_simplex(np.eye(2), 0.0)
+    with pytest.raises(ValueError, match="square"):
+        brute_force_simplex(np.ones((2, 3)), 0.1)
 
 
 def test_verify_rejects_unknown_check():

@@ -199,6 +199,10 @@ def test_qp_matrix_type_invariants():
         QpMatrix(np.full((2, 2), np.nan), budgets, 1)
     with pytest.raises(ValueError, match="budget"):
         QpMatrix(good, np.array([10.0]), 1)
+    with pytest.raises(ValueError, match="square"):
+        QpMatrix(np.ones((2, 3)), budgets, 1)
+    with pytest.raises(ValueError, match=">= 1"):
+        QpMatrix(good, np.array([10.0, 0.0]), 1)
     for bad in ([1200.7, 800.0], [10.0, 0.5], [10.0, np.inf], [10.0, np.nan]):
         with pytest.raises(ValueError, match="whole count"):
             QpMatrix(good, np.array(bad), 1)

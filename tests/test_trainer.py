@@ -223,6 +223,20 @@ def test_multi_task_needs_two_tasks():
         train_multi_task(FAM, [data], TrainConfig(learning_rate=1.0, epochs=2))
 
 
+def test_every_task_and_block_needs_data():
+    data = FAM.sample(TH_TRUE, 50, derive_rng(11, 0))
+    empty = FAM.sample(TH_TRUE, 0, derive_rng(11, 1))
+    cfg = TrainConfig(learning_rate=1.0, epochs=2)
+    with pytest.raises(ParameterError, match="one parameter vector"):
+        train_multi_source(FAM, data, [data], [TH_TRUE, TH_OFF], cfg)
+    with pytest.raises(ParameterError, match="target data must be nonempty"):
+        train_multi_source(FAM, empty, [data], [TH_TRUE], cfg)
+    with pytest.raises(ParameterError, match="source blocks must be nonempty"):
+        train_multi_source(FAM, data, [empty], [TH_TRUE], cfg)
+    with pytest.raises(ParameterError, match="every task needs data"):
+        train_multi_task(FAM, [data, empty], cfg)
+
+
 def test_multi_task_needs_one_holdout_set_per_task(monkeypatch):
     """A short list stepped task 0 and then died with an IndexError; a long
     one was silently cut."""

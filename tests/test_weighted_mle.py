@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from transferopt import (ConvergenceError, ParameterError, fit_weighted_mle,
-                         get_family)
+from transferopt import (ConvergenceError, ParameterError,
+                         UnsupportedFamilyError, fit_weighted_mle, get_family)
 from transferopt import weighted_mle
 from transferopt.cli import main
 from transferopt.families import SoftmaxRegression
@@ -148,6 +148,11 @@ def test_loglik_gradient_matches_finite_differences(softmax23, rng):
         lambda th: weighted_loglik_oracle(softmax23, th, *data, ridge=0.05),
         theta)
     assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+def test_sufficient_statistics_need_a_closed_form_family(softmax23):
+    with pytest.raises(UnsupportedFamilyError, match="softmax_regression"):
+        weighted_mle.fit_sufficient(softmax23, [(np.zeros(6), 10, 1.0)])
 
 
 def test_empty_target_rejected(cat3):

@@ -4,13 +4,12 @@
 
 Runs, once per checkout:
 - every bundled config in ``configs/`` with its own seed;
-- two ``sweep`` runs with pinned weights, which no bundled config or
-  perfbench job sets (``PINNED_SWEEPS``);
 - every job that ``perfbench/workloads.py`` generates for its three
   workloads at seeds 1 and 3, with the job's seed;
 - at each of those seeds, one library run that writes the plan
   (``plan_from_parameters``) of every plan-solve instance and each of the
-  workload's sub-budget curves;
+  workload's sub-budget curves (``sub_budget_curve`` of
+  ``qp_from_parameters``);
 - one library run that writes every method of every family, the
   information matrices and the weighted fits, on seeded parameters and
   batches (``FAMILY_CASES``).
@@ -49,13 +48,6 @@ FAMILY_CASES = tuple(
 FAMILY_BATCH = 40
 FIT_RIDGE = 1e-3
 
-# axis-specific keys of the pinned-weight sweeps, each on the ensemble of
-# configs/weights_ensemble.json: source 0 swept, source 1 pinned at 0.2
-PINNED_SWEEPS = {
-    "weight": {"grid": {"start": 0.0, "stop": 2.0, "count": 5}},
-    "quantity": {"grid": [0, 500, 1000, 1500], "rule": "optimal"},
-}
-
 
 def _runs(root, out):
     """``(name, run)`` of every run, bundled configs first; ``run(run_dir)``
@@ -70,16 +62,6 @@ def _runs(root, out):
             raise SystemExit(f"no command for bundled config {path.name}")
         runs.append((f"bundled/{path.stem}",
                      partial(_cli, [command, "--config", str(path)])))
-    for axis, keys in PINNED_SWEEPS.items():
-        config = json.loads((root / "configs" / "weights_ensemble.json")
-                            .read_text(encoding="utf-8"))
-        config.update(axis=axis, source_index=0, pinned_weights=[0, 0.2],
-                      trials=50, **keys)
-        path = out / "configs" / f"pinned_{axis}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(config), encoding="utf-8")
-        runs.append((f"pinned/sweep_{axis}",
-                     partial(_cli, ["sweep", "--config", str(path)])))
     for seed in PERFBENCH_SEEDS:
         for name, workload in workloads.WORKLOADS.items():
             bench = workload(root, out / "perfbench" / f"{name}-{seed}", seed)
@@ -122,9 +104,7 @@ def _value(compute):
 def _plans(bench, run_dir):
     """The plan of every plan-solve instance and the workload's sub-budget
     curves, written to ``plans.json``; JSON floats keep full precision."""
-    import numpy as np
-    from transferopt.fisher import analytic_fisher
-    from transferopt.planner import (build_qp_matrix, plan_from_parameters,
+    from transferopt.planner import (plan_from_parameters, qp_from_parameters,
                                      sub_budget_curve)
 
     def plan(i):
@@ -132,9 +112,7 @@ def _plans(bench, run_dir):
                                     i.n_target).to_json_dict()
 
     def curve(i):
-        dirs = np.stack([s - i.target for s in i.sources], axis=1)
-        qp = build_qp_matrix(dirs, analytic_fisher(i.family, i.target),
-                             i.budgets, i.family.dim)
+        qp = qp_from_parameters(i.family, i.target, i.sources, i.budgets)
         return sub_budget_curve(qp, i.n_target, bench.CURVE_FRACTIONS)
 
     values = {
