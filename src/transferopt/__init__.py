@@ -8,7 +8,6 @@ from .errors import (  # noqa: F401
     ConvergenceError,
     ParameterError,
     RegimeError,
-    ScaleError,
     SupportError,
     TransferOptError,
     UnsupportedFamilyError,

@@ -26,7 +26,6 @@ from .errors import (
     ConvergenceError,
     ParameterError,
     RegimeError,
-    ScaleError,
     SupportError,
     UnsupportedFamilyError,
 )
@@ -44,8 +43,8 @@ from .rng import derive_rng
 from .trainer import TrainConfig, pretrain_params, train_multi_source, train_multi_task
 
 _CONFIG_EXIT = (ConfigError, ParameterError, UnsupportedFamilyError, ValueError)
-_NUMERIC_EXIT = (ConvergenceError, RegimeError, ScaleError, SupportError,
-                 FloatingPointError, np.linalg.LinAlgError)
+_NUMERIC_EXIT = (ConvergenceError, RegimeError, SupportError,
+                 FloatingPointError, MemoryError, np.linalg.LinAlgError)
 
 # data-generation stream roles for the train command: dataset k of a role
 # draws from (seed, role, k), so no two datasets share a stream
@@ -315,7 +314,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        return _run(args)
+        # overflow, invalid results and division by zero exit 3, not warn
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _run(args)
     except _NUMERIC_EXIT as err:
         # first: LinAlgError is a ValueError, which _CONFIG_EXIT holds
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -7,7 +7,6 @@ __all__ = [
     "UnsupportedFamilyError",
     "ConvergenceError",
     "RegimeError",
-    "ScaleError",
     "ConfigError",
 ]
 
@@ -52,11 +51,6 @@ class ConvergenceError(TransferOptError):
 class RegimeError(TransferOptError):
     """A requested source displacement cannot be placed inside the valid
     parameter region (retries exhausted)."""
-
-
-class ScaleError(TransferOptError):
-    """The requested problem size exceeds a hard guard (e.g. brute-force
-    grids that would blow up combinatorially)."""
 
 
 class ConfigError(TransferOptError):

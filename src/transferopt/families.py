@@ -56,14 +56,15 @@ INTERIOR_FLOOR = 1e-9
 
 def whole_count(n, name, error=ValueError):
     """``n`` as an int; a count that is not a whole number (10.7, inf,
-    nan), or that exceeds 2**53, past which floats stop being exact
-    integers, raises ``error(message)`` naming ``name``, never
-    truncated or wrapped. A whole float such as 2000.0 counts as 2000."""
+    nan), or of magnitude above 2**53, past which floats stop being exact
+    integers, raises ``error(message)`` naming ``name``, never truncated
+    or wrapped; the sign is the caller's to check. 2000.0 counts as 2000."""
     if not (isinstance(n, (int, np.integer)) or float(n).is_integer()):
         raise error(f"{name} must be a whole count, got {n}")
     count = int(n)
-    if count > 2 ** 53:
-        raise error(f"{name} must be at most 2**53, got {n}")
+    if abs(count) > 2 ** 53:
+        size = " in magnitude" if count < 0 else ""
+        raise error(f"{name} must be at most 2**53{size}, got {n}")
     return count
 
 

@@ -60,15 +60,6 @@ class MonteCarloEstimate:
     master_seed: int
 
 
-def _divergence(family):
-    fn = getattr(family, "kl_divergence", None)
-    if fn is None:
-        raise UnsupportedFamilyError(
-            f"no closed-form divergence for family '{family.name}'"
-        )
-    return fn
-
-
 def kl_exact(family, theta_p, theta_q):
     """Divergence from the distribution at ``theta_p`` to ``theta_q``.
 
@@ -76,7 +67,11 @@ def kl_exact(family, theta_p, theta_q):
     stack such as ``mc_fits`` returns, giving one divergence per row; the
     family checks the whole stack, and measures it, in one call.
     """
-    return _divergence(family)(theta_p, theta_q)
+    fn = getattr(family, "kl_divergence", None)
+    if fn is None:
+        raise UnsupportedFamilyError(
+            f"no closed-form divergence for family '{family.name}'")
+    return fn(theta_p, theta_q)
 
 
 def predict_kl_single(n_target, n_source, weight, t, d):
@@ -167,7 +162,9 @@ def mc_fits(family, target_params, n_target, sources, trials, master_seed,
     (``mc_divergences``) takes the whole stack in one call.
 
     A family without a sufficient statistic (``softmax_regression``) is
-    rejected with UnsupportedFamilyError, and an ``n_target``, quantity,
+    rejected with UnsupportedFamilyError, the one Monte Carlo gate: every
+    family with one also has a closed-form divergence and information
+    matrix to measure the fits with. An ``n_target``, quantity,
     trial count or seed that is not a whole number, or weights that fail
     ``source_weights``, with ValueError, before any trial runs. A failing
     trial re-raises its own exception, with the trial index in a
@@ -221,8 +218,8 @@ def mc_expected_kl(ensemble, weights, quantities, trials, master_seed,
     distribution taken, in one call (``mc_divergences``).
 
     Vectors without one entry per source raise ValueError, and a family
-    without a closed-form divergence or a sufficient statistic is
-    rejected, before any trial runs.
+    without a sufficient statistic is rejected by ``mc_fits``, before any
+    trial runs.
     """
     trials = whole_count(trials, "trials")
     if trials < 2:
@@ -231,7 +228,6 @@ def mc_expected_kl(ensemble, weights, quantities, trials, master_seed,
         raise ValueError(f"need one weight and one quantity per source "
                          f"({ensemble.k}), got {weights} and {quantities}")
     family = ensemble.family
-    _divergence(family)
     th0 = ensemble.target_params
     fits = mc_fits(family, th0, ensemble.target_budget,
                    zip(ensemble.source_params, quantities, weights),

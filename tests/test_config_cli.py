@@ -19,7 +19,7 @@ import transferopt.trainer
 from transferopt.cli import main
 from transferopt.config import COMMANDS, DEFAULTS, load_schema, validate_config
 from transferopt.errors import ConfigError
-from transferopt.families import Categorical, SoftmaxRegression
+from transferopt.families import SoftmaxRegression
 from transferopt.harness import verify_claim
 from transferopt.reporting import jsonable, write_csv
 
@@ -342,12 +342,40 @@ def test_a_fractional_quantity_grid_point_exits_2_naming_it(
     ("sweep_quantity.json", {"grid": [0, 1e308]},
      "config error at /grid: quantity grid point must be at most 2**53, "
      "got 1e+308"),
+    ("sweep_quantity.json", {"grid": [-1e308, 100]},
+     "config error at /grid: quantity grid point must be at most 2**53 in "
+     "magnitude, got -1e+308"),
+    ("sweep_weight.json", {"grid": {"start": 2 ** 70, "stop": 2.0,
+                                    "step": 0.1}},
+     "config error at /grid: grid point count must be at most 2**53 in "
+     "magnitude, got -1.180591621898003e+22"),
+    ("sweep_weight.json", {"family": {"name": "categorical",
+                                      "params": {"num_outcomes": 1e308}}},
+     "config error at /family/params/num_outcomes: 1e+308 is greater than "
+     "the maximum of 9007199254740992"),
+    ("simulate_plan.json", {"family": {"name": "gaussian_iso",
+                                       "params": {"dim": 2 ** 70}}},
+     "config error at /family/params/dim: 1180591620717411303424 is greater "
+     "than the maximum of 9007199254740992"),
+    ("train_two_task.json", {"family": {
+        "name": "softmax_regression",
+        "params": {"feature_dim": 2 ** 70, "num_classes": 3}}},
+     "config error at /family/params/feature_dim: 1180591620717411303424 is "
+     "greater than the maximum of 9007199254740992"),
+    ("train_two_task.json", {"family": {
+        "name": "softmax_regression",
+        "params": {"feature_dim": 3, "num_classes": 1e308}}},
+     "config error at /family/params/num_classes: 1e+308 is greater than "
+     "the maximum of 9007199254740992"),
 ], ids=["budget", "n_target", "trials", "source-budget", "holdout_n",
-        "weight-grid", "quantity-grid"])
+        "weight-grid", "quantity-grid", "negative-quantity-grid",
+        "step-grid-start", "num_outcomes", "dim", "feature_dim",
+        "num_classes"])
 def test_a_count_above_2_53_exits_2(name, change, error, tmp_path, capsys):
     """Floats past 2**53 are not exact counts: the budget planned the
-    wrapped quantity -2**63 and exited 0, the others traced back with
-    OverflowError."""
+    wrapped quantity -2**63 and exited 0, the grids traced back with
+    OverflowError or exited 2 with numpy's message and no field, and a
+    family size exited 2 with no field."""
     config = dict(load_json(CONFIGS / name), **change)
     rc, _, err = run([name.split("_")[0], "--config",
                       write_cfg(tmp_path, config), "--out",
@@ -475,6 +503,32 @@ def test_unplaceable_source_exits_3(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("train_two_source.json", ("target", "params", 0), 1e308),
+    ("weights_golden.json", ("directions", 0, 0), 1e308),
+    ("train_two_source.json", ("target", "n"), 2 ** 45),
+], ids=["train-logit-overflow", "weights-gram-overflow",
+        "train-unallocatable-count"])
+def test_overflow_and_an_unallocatable_count_exit_3(name, path, value,
+                                                    tmp_path, capsys):
+    """A target parameter of 1e308 overflowed the softmax logits while
+    the data was drawn, drew labels from NaN probabilities and exited 0
+    after a numpy warning; a direction of 1e308 overflowed the gram and
+    exited 2 naming no field; a target n of 2**45 traced back with
+    numpy's "Unable to allocate 768. TiB"."""
+    config = load_json(CONFIGS / name)
+    entry = config
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    out = tmp_path / "run"
+    rc, _, err = run([name.split("_")[0], "--config",
+                      write_cfg(tmp_path, config), "--out", str(out)], capsys)
+    assert rc == 3
+    assert err.startswith("numerical failure: ")
+    assert not (out / "report.json").exists()
+
+
 def test_failed_check_exits_4(tmp_path, capsys):
     # at n_target=3 the second-order bridge is nowhere near E[KL]
     cfg = {
@@ -512,6 +566,11 @@ def test_check_dispatch_through_simulate(tmp_path, capsys):
     assert report["results"]["verdict"] == "pass"
 
 
+# the one refusal of a Monte Carlo run on a family it cannot simulate
+_NO_MONTE_CARLO = ("config error: no sufficient statistic for family "
+                   "'softmax_regression' to draw Monte Carlo trials from\n")
+
+
 def test_simulate_rejects_family_without_divergence_before_sampling(
         tmp_path, capsys, monkeypatch):
     cfg = {
@@ -530,9 +589,7 @@ def test_simulate_rejects_family_without_divergence_before_sampling(
     rc, _, err = run(["simulate", "--config", write_cfg(tmp_path, cfg),
                       "--out", str(tmp_path)], capsys)
     assert rc == 2
-    assert err.startswith("config error: no closed-form divergence for "
-                          "family 'softmax_regression'")
-    assert "trial" not in err
+    assert err.startswith(_NO_MONTE_CARLO)
     assert sampled == []
 
 
@@ -559,34 +616,24 @@ def test_estimator_mean_rejects_family_without_sufficient_stat_before_sampling(
     assert sampled == []
 
 
-@pytest.mark.parametrize("family, target, cls, missing", [
-    ({"name": "softmax_regression",
-      "params": {"feature_dim": 2, "num_classes": 2}}, [0.3, 0.4, -0.2, 0.1],
-     SoftmaxRegression, "no closed-form divergence for family "
-                        "'softmax_regression'"),
-    (_CAT3, [0.3, 0.4], Categorical,
-     "family 'categorical' has no analytic information matrix"),
-], ids=["no-divergence", "no-information-matrix"])
 def test_bridge_rejects_family_without_closed_forms_before_sampling(
-        family, target, cls, missing, tmp_path, capsys, monkeypatch):
-    if cls is Categorical:
-        monkeypatch.delattr(Categorical, "analytic_fisher_matrix")
-    # a categorical trial draws counts, not samples: watch the trial loop
-    # itself as well as every way a trial draws
+        tmp_path, capsys, monkeypatch):
+    # the gate sits in mc_fits itself: watch every draw and every trial's
+    # stream instead
     sampled = []
-    monkeypatch.setattr(cls, "sample", lambda *args: sampled.append(args))
-    if hasattr(cls, "stat_sampler"):
-        monkeypatch.setattr(cls, "stat_sampler",
-                            lambda *args: sampled.append(args))
-    monkeypatch.setattr("transferopt.harness.mc_fits",
-                        lambda *args, **kw: sampled.append(args))
-    cfg = _check("kl-mse-bridge", {"family": family, "target_params": target,
-                                   "n_target": 50, "trials": 3000})
+    monkeypatch.setattr(SoftmaxRegression, "sample",
+                        lambda *args: sampled.append(args))
+    monkeypatch.setattr("transferopt.kl.derive_rng",
+                        lambda *args: sampled.append(args))
+    cfg = _check("kl-mse-bridge", {
+        "family": {"name": "softmax_regression",
+                   "params": {"feature_dim": 2, "num_classes": 2}},
+        "target_params": [0.3, 0.4, -0.2, 0.1], "n_target": 50,
+        "trials": 3000})
     rc, _, err = run(["verify", "--config", write_cfg(tmp_path, cfg),
                       "--out", str(tmp_path)], capsys)
     assert rc == 2
-    assert err.startswith(f"config error: {missing}")
-    assert "trial" not in err
+    assert err.startswith(_NO_MONTE_CARLO)
     assert sampled == []
 
 

@@ -82,11 +82,16 @@ def test_no_module_imports_a_name_it_never_uses(path):
     ("transferopt.harness", "_unit_direction"),
     ("transferopt.planner", "direction_gram"),
     ("transferopt.harness", "_ensemble_gram"),
+    ("transferopt", "ScaleError"),
+    ("transferopt.errors", "ScaleError"),
+    ("transferopt.kl", "_divergence"),
 ])
 def test_removed_names_stay_removed(owner, name):
     """The block classes gave the weighted MLE a second data form beside
     the trainer's ``(target, sources, weights)``; the count rule now lives
-    in ``families.whole_count``."""
+    in ``families.whole_count``. ``brute_force_simplex`` refuses K > 4
+    with ValueError, as it refuses any other bad input, and ``mc_fits``
+    is the one gate of a Monte Carlo estimate."""
     assert not hasattr(importlib.import_module(owner), name)
 
 

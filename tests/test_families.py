@@ -191,14 +191,18 @@ def test_a_family_below_its_smallest_size_is_rejected(make, message):
         make()
 
 
-@pytest.mark.parametrize("n", [2 ** 53 + 2, 2 ** 70, 1e308, 10 ** 400],
-                         ids=["2**53+2", "2**70", "1e308", "10**400"])
+@pytest.mark.parametrize("n", [2 ** 53 + 2, 2 ** 70, 1e308, 10 ** 400,
+                               -(2 ** 53 + 2), -1e308],
+                         ids=["2**53+2", "2**70", "1e308", "10**400",
+                              "-(2**53+2)", "-1e308"])
 def test_whole_count_rejects_a_count_above_2_53(n):
     """Past 2**53 floats stop being exact counts: a budget of 1e308 planned
-    the wrapped quantity -2**63, and trials of 2**70 ran without end."""
+    the wrapped quantity -2**63, trials of 2**70 ran without end, and a
+    quantity grid point of -1e308 overflowed an int array."""
     with pytest.raises(ParameterError, match=r"^trials must be at most 2\*\*53"):
         families.whole_count(n, "trials", ParameterError)
     assert families.whole_count(2.0 ** 53, "trials") == 2 ** 53
+    assert families.whole_count(-2.0 ** 53, "trials") == -2 ** 53
 
 
 def test_a_whole_float_count_draws_what_the_int_draws(cat3, gauss3,

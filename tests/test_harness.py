@@ -10,7 +10,6 @@ from transferopt import (
     ConfigError,
     ParameterError,
     RegimeError,
-    ScaleError,
     brute_force_simplex,
     solve_simplex_qp,
     sweep_quantity,
@@ -313,7 +312,7 @@ def test_brute_force_sandwiches_the_solver(rng):
 
 
 def test_brute_force_limits():
-    with pytest.raises(ScaleError):
+    with pytest.raises(ValueError, match="K <= 4"):
         brute_force_simplex(np.eye(5), 0.1)
     with pytest.raises(ValueError):
         brute_force_simplex(np.eye(2), 0.2)

@@ -20,7 +20,8 @@ from transferopt import (
 )
 import transferopt.kl
 import transferopt.weighted_mle
-from transferopt.errors import ConvergenceError, ParameterError
+from transferopt.errors import (ConvergenceError, ParameterError,
+                                UnsupportedFamilyError)
 from transferopt.families import Categorical
 from transferopt.harness import TaskEnsemble, build_ensemble, verify_claim
 from transferopt.kl import KlPrediction, mc_fits
@@ -41,6 +42,14 @@ def test_divergence_zero_iff_equal(cat3, gauss3, rng):
         assert v >= 0.0
         if np.max(np.abs(a - b)) > 1e-6:
             assert v > 1e-12
+
+
+def test_divergence_needs_a_closed_form(softmax23):
+    # a Monte Carlo estimate refuses softmax in mc_fits; a direct call
+    # refuses it here
+    with pytest.raises(UnsupportedFamilyError, match="no closed-form "
+                       "divergence for family 'softmax_regression'"):
+        kl_exact(softmax23, np.zeros(6), np.zeros(6))
 
 
 def test_divergence_known_values(cat2, gauss1):

@@ -1,11 +1,12 @@
 """The checks in ``tools/``: ``same_outputs.py``, the byte-identity check
-between checkouts, and ``uncovered.py``, the statements a test run misses."""
+between checkouts, ``uncovered.py``, the statements a test run misses, and
+``hostile_inputs.py``, the exit-code contract under mutated configs."""
 
 import re
 import subprocess
 import sys
 
-from helpers import REPO
+from helpers import CONFIGS, REPO
 
 
 def test_a_checkout_writes_the_same_outputs_as_itself():
@@ -32,3 +33,16 @@ def test_uncovered_lists_missed_statements_and_counts_per_module():
     listed = re.findall(r"^src/transferopt/(\w+\.py):\d+: \S", done.stdout,
                         re.M)
     assert {name: listed.count(name) for name in modules} == missed
+
+
+def test_hostile_inputs_keep_the_exit_code_contract():
+    # one bundled config per command, chosen by name alone
+    picked = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        picked.setdefault(path.stem.split("_")[0], path.name)
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "hostile_inputs.py"),
+         "--config", *picked.values()],
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.fullmatch(r"(\d+) of \1 runs kept the contract\n", done.stdout)
