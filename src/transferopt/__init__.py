@@ -29,11 +29,10 @@ from .harness import (  # noqa: F401
     SweepResult,
     TaskEnsemble,
     brute_force_simplex,
-    build_ensemble,
     sweep_quantity,
     sweep_weight,
-    verify_claim,
 )
+from .config import build_ensemble, verify_claim  # noqa: F401
 from .rng import derive_rng  # noqa: F401
 from .trainer import (  # noqa: F401
     TrainConfig,

@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, DEFAULTS, load_config, validate_config
+from .config import (COMMANDS, DEFAULTS, config_ensemble, config_qp,
+                     config_sweep, config_train, config_weights, load_config,
+                     validate_config, verify_claim)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -29,20 +31,13 @@ from .errors import (
     SupportError,
     UnsupportedFamilyError,
 )
-from .harness import (
-    config_ensemble,
-    config_family,
-    config_params,
-    config_sweep,
-    verify_claim,
-)
 from .kl import mc_expected_kl
-from .planner import build_qp_matrix, optimal_plan, symmetric_psd
+from .planner import optimal_plan
 from .reporting import write_csv, write_json
 from .rng import derive_rng
-from .trainer import TrainConfig, pretrain_params, train_multi_source, train_multi_task
+from .trainer import pretrain_params, train_multi_source, train_multi_task
 
-_CONFIG_EXIT = (ConfigError, ParameterError, UnsupportedFamilyError, ValueError)
+_CONFIG_EXIT = (ConfigError, ParameterError, UnsupportedFamilyError)
 _NUMERIC_EXIT = (ConvergenceError, RegimeError, SupportError,
                  FloatingPointError, MemoryError, np.linalg.LinAlgError)
 
@@ -86,47 +81,21 @@ def _build_parser():
     return parser
 
 
-def _plan_csv(plan):
+def _cmd_weights(config, seed):
+    if "directions" in config:
+        qp, n_target = config_qp(config), int(config["n_target"])
+        results = {"mode": "explicit"}
+    else:
+        ens = config_ensemble(config, seed)
+        qp, n_target = ens.qp(), ens.target_budget
+        results = {"mode": "ensemble", "ensemble": ens.to_json_dict()}
+    results["plan"] = plan = optimal_plan(qp, n_target=n_target).to_json_dict()
     columns = zip(plan["alpha"], plan["weights"], plan["quantities"])
     rows = [{"source": i + 1, "alpha": a, "weight": w, "quantity": n}
             for i, (a, w, n) in enumerate(columns)]
-    return ("plan.csv", rows)
-
-
-def _cmd_weights(config, seed):
-    if "directions" in config:
-        for key in ("directions", "fisher_matrix"):
-            if len({len(row) for row in config[key]}) != 1:
-                raise ConfigError(f"{key} rows must have equal length",
-                                  field=f"/{key}")
-        directions = np.asarray(config["directions"], dtype=float)
-        fisher = np.asarray(config["fisher_matrix"], dtype=float)
-        budgets = np.asarray(config["budgets"], dtype=float)
-        d = directions.shape[1]
-        if fisher.shape != (d, d):
-            raise ConfigError(f"fisher_matrix must be {d}x{d}",
-                              field="/fisher_matrix")
-        if len(budgets) != len(directions):
-            raise ConfigError("need one budget per direction",
-                              field="/budgets")
-        try:
-            symmetric_psd(fisher, "fisher_matrix")
-        except ValueError as err:
-            raise ConfigError(str(err), field="/fisher_matrix") from err
-        qp = build_qp_matrix(directions.T, fisher, budgets, d)
-        plan = optimal_plan(qp, n_target=int(config["n_target"]))
-        results = {"mode": "explicit", "plan": plan.to_json_dict()}
-    else:
-        ens = config_ensemble(config, seed)
-        plan = optimal_plan(ens.qp(), n_target=ens.target_budget)
-        results = {
-            "mode": "ensemble",
-            "ensemble": ens.to_json_dict(),
-            "plan": plan.to_json_dict(),
-        }
-    lines = [f"weights: {results['plan']['weights']}",
-             f"predicted divergence: {results['plan']['predicted_kl']['total']}"]
-    return results, [_plan_csv(results["plan"])], False, lines
+    lines = [f"weights: {plan['weights']}",
+             f"predicted divergence: {plan['predicted_kl']['total']}"]
+    return results, [("plan.csv", rows)], False, lines
 
 
 def _cmd_verify(config, seed):
@@ -141,40 +110,30 @@ def _cmd_verify(config, seed):
         raise
     rows = [{"check": check, "verdict": report["verdict"],
              "n_target": report["n_target"]}]
-    csvs = [("verdict.csv", rows)]
-    fail = report["verdict"] != "pass"
-    return report, csvs, fail, [f"check {check}: {report['verdict']}"]
+    return (report, [("verdict.csv", rows)], report["verdict"] != "pass",
+            [f"check {check}: {report['verdict']}"])
 
 
 def _cmd_simulate(config, seed):
     if "check" in config:
         return _cmd_verify(config, seed)
     ens = config_ensemble(config, seed)
-    spec = config["weights"]
-    if spec == "optimal":
+    results = {"ensemble": ens.to_json_dict()}
+    if config["weights"] == "optimal":
         plan = optimal_plan(ens.qp(), n_target=ens.target_budget)
         weights = plan.weights
-        plan_dict = plan.to_json_dict()
+        results["plan"] = plan.to_json_dict()
     else:
-        weights = np.asarray(spec, dtype=float)
-        if weights.shape != (ens.k,):
-            raise ConfigError("need one weight per source", field="/weights")
-        plan_dict = None
+        weights = config_weights(config["weights"], ens.k)
     # every plan's quantities are the full budgets
     est = mc_expected_kl(ens, weights, ens.source_budgets, config["trials"],
                          seed)
-    results = {
-        "ensemble": ens.to_json_dict(),
+    results.update({
         "weights": [float(w) for w in weights],
         "quantities": [int(n) for n in ens.source_budgets],
-        "estimate": {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "trials": est.trials,
-        },
-    }
-    if plan_dict is not None:
-        results["plan"] = plan_dict
+        "estimate": {"mean": est.mean, "std_error": est.std_error,
+                     "trials": est.trials},
+    })
     csvs = [("estimate.csv", [results["estimate"]])]
     lines = [f"expected divergence: {est.mean} (se {est.std_error}, "
              f"{est.trials} trials)"]
@@ -182,7 +141,7 @@ def _cmd_simulate(config, seed):
 
 
 def _cmd_sweep(config, seed):
-    ens, result = config_sweep(config, seed, config["grid"])
+    ens, result = config_sweep(config, seed)
     axis = config["axis"]
     results = {"ensemble": ens.to_json_dict(), "sweep": result.to_json_dict()}
     csvs = [(f"sweep_{axis}.csv", result.rows())]
@@ -204,55 +163,39 @@ plot "{csv}" using 1:2:3 with yerrorlines title "measured", \\
 
 
 def _cmd_train(config, seed):
-    family = config_family(config)
-    cfg = TrainConfig(**config["train"])
+    family, cfg, blocks = config_train(config)
     holdout_n = int(config["holdout_n"])
+
+    def draw(role, k, params, n):
+        return family.sample(params, n, derive_rng(seed, role, k))
+
+    def holdout(k, params):
+        return draw(_HOLDOUT_ROLE, k, params, holdout_n) if holdout_n else None
+
     if config["mode"] == "multi_source":
-        tgt = config["target"]
-        tp = config_params(family, tgt["params"], "/target/params")
-        target_data = family.sample(tp, int(tgt["n"]),
-                                    derive_rng(seed, _TARGET_ROLE, 0))
-        source_data = []
-        pretrained = []
-        for k, src in enumerate(config["sources"]):
-            sp = config_params(family, src["params"], f"/sources/{k}/params")
-            data = family.sample(sp, int(src["n"]),
-                                 derive_rng(seed, _SOURCE_ROLE, k))
-            source_data.append(data)
-            pretrained.append(pretrain_params(
-                family, data, ridge=float(config["pretrain_ridge"])))
-        holdout = None
-        if holdout_n:
-            holdout = family.sample(tp, holdout_n,
-                                    derive_rng(seed, _HOLDOUT_ROLE, 0))
-        trace = train_multi_source(family, target_data, source_data,
-                                   pretrained, cfg, holdout_data=holdout)
-        results = {"mode": "multi_source", "trace": trace.to_json_dict()}
-        csvs = [("trace.csv", trace.rows())]
-        lines = [f"stopped after {results['trace']['epochs_run']} epochs "
-                 f"({results['trace']['stop_reason']})",
-                 f"final weights: {results['trace']['final_weights']}"]
-    else:
-        datasets, holdouts = [], []
-        for k, task in enumerate(config["tasks"]):
-            tp = config_params(family, task["params"], f"/tasks/{k}/params")
-            datasets.append(family.sample(tp, int(task["n"]),
-                                          derive_rng(seed, _TASK_ROLE, k)))
-            holdouts.append(
-                family.sample(tp, holdout_n,
-                              derive_rng(seed, _HOLDOUT_ROLE, k))
-                if holdout_n else None)
-        traces = train_multi_task(family, datasets, cfg, holdouts=holdouts)
-        results = {
-            "mode": "multi_task",
-            "traces": [t.to_json_dict() for t in traces],
-        }
-        csvs = [(f"trace_task{k + 1}.csv", t.rows())
-                for k, t in enumerate(traces)]
-        lines = [f"task {k + 1}: final loss "
-                 f"{results['traces'][k]['final_loss']}"
-                 for k in range(len(traces))]
-    return results, csvs, False, lines
+        (tp, n), *sources = blocks
+        source_data = [draw(_SOURCE_ROLE, k, *source)
+                       for k, source in enumerate(sources)]
+        ridge = float(config["pretrain_ridge"])
+        pretrained = [pretrain_params(family, data, ridge=ridge)
+                      for data in source_data]
+        trace = train_multi_source(family, draw(_TARGET_ROLE, 0, tp, n),
+                                   source_data, pretrained, cfg,
+                                   holdout_data=holdout(0, tp))
+        summary = trace.to_json_dict()
+        lines = [f"stopped after {summary['epochs_run']} epochs "
+                 f"({summary['stop_reason']})",
+                 f"final weights: {summary['final_weights']}"]
+        return ({"mode": "multi_source", "trace": summary},
+                [("trace.csv", trace.rows())], False, lines)
+    traces = train_multi_task(
+        family, [draw(_TASK_ROLE, k, *task) for k, task in enumerate(blocks)],
+        cfg, holdouts=[holdout(k, tp) for k, (tp, _) in enumerate(blocks)])
+    summaries = [t.to_json_dict() for t in traces]
+    csvs = [(f"trace_task{k + 1}.csv", t.rows()) for k, t in enumerate(traces)]
+    lines = [f"task {k + 1}: final loss {summary['final_loss']}"
+             for k, summary in enumerate(summaries)]
+    return {"mode": "multi_task", "traces": summaries}, csvs, False, lines
 
 
 _HANDLERS = {
@@ -268,12 +211,9 @@ def _run(args):
     config = load_config(args.config)
     validate_config(args.command, config)
     settings = {**DEFAULTS[args.command], **config}
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        seed = args.seed
-    else:
-        seed = int(settings["seed"])
+    seed = int(settings["seed"]) if args.seed is None else args.seed
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must fit in an unsigned 64-bit integer")
     if args.threads is not None and args.threads < 0:
         raise ConfigError("threads must be nonnegative")
     out_dir = Path(args.out or os.environ.get("TRANSFEROPT_OUT") or ".")
@@ -318,7 +258,6 @@ def main(argv=None):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _run(args)
     except _NUMERIC_EXIT as err:
-        # first: LinAlgError is a ValueError, which _CONFIG_EXIT holds
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except _CONFIG_EXIT as err:
@@ -327,8 +266,7 @@ def main(argv=None):
         print(f"config error{where}: {err}", file=sys.stderr)
         return 2
     finally:
-        elapsed = time.perf_counter() - start
-        print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+        print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

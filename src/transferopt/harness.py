@@ -5,16 +5,16 @@ at controlled distances from the target, runs Monte Carlo estimates of the
 expected divergence under a plan, and hosts the brute-force machinery
 (weight grids, exhaustive lattice simplex search, random-plan comparisons)
 that every verification verdict rests on. Everything here is a pure
-function of its config and master seed.
+function of its inputs and master seed. Nothing here reads a config
+(``config`` does); the errors raised here are ValueError, ParameterError
+and RegimeError.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .config import DEFAULTS, validate_config
-from .errors import ConfigError, ParameterError, RegimeError
+from .errors import ParameterError, RegimeError
 from .families import get_family, whole_count
 from .kl import (mc_divergences, mc_expected_kl, mc_fits, mse_kl_bridge,
                  predict_kl_multi, predict_kl_single)
@@ -25,17 +25,12 @@ from .rng import derive_rng
 __all__ = [
     "TaskEnsemble",
     "SweepResult",
-    "build_ensemble",
-    "config_params",
-    "config_family",
-    "config_ensemble",
-    "config_sweep",
     "source_scalars",
+    "check_source_index",
+    "check_quantity_grid",
     "sweep_weight",
     "sweep_quantity",
     "brute_force_simplex",
-    "verify_claim",
-    "resolve_grid",
 ]
 
 # seed-path prefixes so the plan MC, the random-plan MCs, and the random
@@ -116,18 +111,12 @@ class SweepResult:
     predicted_argmin: int
 
     def rows(self):
-        return [
-            {
-                "axis_value": self.grid[i],
-                "mc_mean": float(self.mc_means[i]),
-                "mc_stderr": float(self.mc_stderrs[i]),
-                "predicted": float(self.predicted[i]),
-            }
-            for i in range(len(self.grid))
-        ]
+        values = zip(self.grid, self.mc_means, self.mc_stderrs, self.predicted)
+        return [{"axis_value": g, "mc_mean": float(m), "mc_stderr": float(s),
+                 "predicted": float(p)} for g, m, s, p in values]
 
     def to_json_dict(self):
-        out = {
+        return {
             "axis": self.axis_name,
             "grid": [float(g) for g in self.grid],
             "mc_means": [float(v) for v in self.mc_means],
@@ -136,53 +125,6 @@ class SweepResult:
             "mc_argmin": int(self.mc_argmin),
             "predicted_argmin": int(self.predicted_argmin),
         }
-        return out
-
-
-def resolve_grid(spec, integer=False):
-    """Turn a config grid spec (list, or start/stop with step or count,
-    not both) into a strictly increasing array.
-
-    A step grid holds the points start + k*step up to stop, never past it.
-    An ``integer`` grid holds whole counts: a point such as 250.4 raises
-    ConfigError naming it, never rounded.
-    """
-    if isinstance(spec, dict):
-        try:
-            start = float(spec["start"])
-            stop = float(spec["stop"])
-        except KeyError as err:
-            raise ConfigError(f"grid spec needs {err.args[0]}", field="/grid") from err
-        if "step" in spec and "count" in spec:
-            raise ConfigError("grid spec takes step or count, not both",
-                              field="/grid")
-        if "step" in spec:
-            step = float(spec["step"])
-            if step <= 0:
-                raise ConfigError("grid step must be positive", field="/grid/step")
-            # a relative slack of 1e-9 keeps an end point that float error
-            # in (stop - start) / step would drop
-            count = whole_count(
-                np.floor((stop - start) / step * (1 + 1e-9)) + 1,
-                "grid point count", partial(ConfigError, field="/grid"))
-            grid = start + step * np.arange(count)
-        elif "count" in spec:
-            count = whole_count(spec["count"], "grid count",
-                                partial(ConfigError, field="/grid/count"))
-            grid = np.linspace(start, stop, count)
-        else:
-            raise ConfigError("grid spec needs step or count", field="/grid")
-    else:
-        grid = np.asarray(spec, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ConfigError("grid must be a nonempty vector", field="/grid")
-    if integer:
-        bad_point = partial(ConfigError, field="/grid")
-        grid = np.array([whole_count(g, "quantity grid point", bad_point)
-                         for g in grid], dtype=int)
-    if len(grid) > 1 and np.any(np.diff(grid) <= 0):
-        raise ConfigError("grid must be strictly increasing", field="/grid")
-    return grid
 
 
 def _draw_source_params(family, target_params, c, n_target, direction_seed,
@@ -206,49 +148,24 @@ def _draw_source_params(family, target_params, c, n_target, direction_seed,
     )
 
 
-def config_params(family, values, field):
-    """A config's parameter vector, validated for ``family``; an invalid
-    one raises ConfigError naming ``field``."""
-    try:
-        return family.validate(np.asarray(values, dtype=float))
-    except ParameterError as err:
-        raise ConfigError(str(err), field=field) from err
-
-
-def build_ensemble(family, config, master_seed):
-    """Ensemble from a config block.
-
-    Each source entry carries a ``budget`` and either explicit ``params``
-    or a (``c``, ``direction_seed``) pair, placing it at distance
-    c / sqrt(N0) in a seeded direction. An invalid explicit vector raises
-    ConfigError at ``/target_params`` or ``/sources/i/params``.
-    """
-    th0 = config_params(family, config["target_params"], "/target_params")
-    n0 = whole_count(config["n_target"], "n_target", ParameterError)
-    params = []
-    for i, src in enumerate(config["sources"]):
-        if "params" in src:
-            p = config_params(family, src["params"], f"/sources/{i}/params")
-        else:
-            p = _draw_source_params(family, th0, float(src["c"]), n0,
-                                    src.get("direction_seed", i), master_seed)
-        params.append(p)
-    return TaskEnsemble(family, th0, n0, params,
-                        [src["budget"] for src in config["sources"]])
-
-
 def source_scalars(ensemble):
     """Per-source scaled squared distances t_i = dir_i' J dir_i / d."""
     return np.diag(ensemble.qp().gram) / float(ensemble.family.dim)
 
 
-def _check_source_index(index, k):
-    idx = whole_count(index, "source index",
-                      partial(ConfigError, field="/source_index"))
+def check_source_index(index, k):
+    """``index`` as the position of one of ``k`` sources; an index that
+    is not a whole count in [0, k) raises ValueError."""
+    idx = whole_count(index, "source index")
     if not 0 <= idx < k:
-        raise ConfigError(f"source index {idx} out of range for {k} sources",
-                          field="/source_index")
+        raise ValueError(f"source index {idx} out of range for {k} sources")
     return idx
+
+
+def check_quantity_grid(grid, budget):
+    """A quantity grid must stay within [0, budget]; ValueError otherwise."""
+    if grid[0] < 0 or grid[-1] > budget:
+        raise ValueError("quantity grid must stay within [0, source budget]")
 
 
 def _sweep(axis, ensemble, grid, gram, weights, quantities, trials, seed):
@@ -275,12 +192,11 @@ def _sweep(axis, ensemble, grid, gram, weights, quantities, trials, seed):
 
 
 def sweep_weight(ensemble, source_index, grid, trials, seed):
-    """Measured and predicted divergence as one source's weight varies;
-    every other source has weight zero."""
-    grid = resolve_grid(grid)
-    if np.any(grid < 0):
-        raise ConfigError("weights must be nonnegative", field="/grid")
-    idx = _check_source_index(source_index, ensemble.k)
+    """Measured and predicted divergence as one source's weight varies
+    over the increasing ``grid``; every other source has weight zero. A
+    negative weight raises ValueError."""
+    grid = np.asarray(grid, dtype=float)
+    idx = check_source_index(source_index, ensemble.k)
     weights = np.zeros((len(grid), ensemble.k))
     weights[:, idx] = grid
     quantities = np.tile(ensemble.source_budgets.astype(float), (len(grid), 1))
@@ -289,28 +205,24 @@ def sweep_weight(ensemble, source_index, grid, trials, seed):
 
 
 def sweep_quantity(ensemble, source_index, grid, weight_rule, trials, seed):
-    """Measured and predicted divergence as one source's quantity varies;
+    """Measured and predicted divergence as one source's quantity varies
+    over the increasing whole-count ``grid``, within the source's budget;
     every other source has weight zero.
 
-    ``weight_rule`` is either a fixed numeric weight or the string
+    ``weight_rule`` is a fixed weight >= 0 (ValueError if negative) or
     ``"optimal"``: at every grid point the single-source closed form
     1/(1 + t*n), the best weight for that quantity.
     """
-    grid = resolve_grid(grid, integer=True)
-    idx = _check_source_index(source_index, ensemble.k)
-    if grid[0] < 0 or grid[-1] > ensemble.source_budgets[idx]:
-        raise ConfigError("quantity grid must stay within [0, source budget]",
-                          field="/grid")
+    grid = np.asarray(grid)
+    idx = check_source_index(source_index, ensemble.k)
+    check_quantity_grid(grid, ensemble.source_budgets[idx])
     weights = np.zeros((len(grid), ensemble.k))
     gram = ensemble.qp().gram
     if weight_rule == "optimal":
         t_i = float(gram[idx, idx]) / ensemble.family.dim
         weights[:, idx] = 1.0 / (1.0 + t_i * grid)
     else:
-        fixed = float(weight_rule)
-        if fixed < 0:
-            raise ConfigError("fixed weight must be nonnegative", field="/rule")
-        weights[:, idx] = fixed
+        weights[:, idx] = float(weight_rule)
     quantities = np.tile(ensemble.source_budgets.astype(float), (len(grid), 1))
     quantities[:, idx] = grid
     return _sweep("quantity", ensemble, grid, gram, weights, quantities,
@@ -391,42 +303,8 @@ def _within_noise(a, b, se_a, se_b):
     return bool(a <= b + _SIGMAS * np.hypot(se_a, se_b))
 
 
-def _check_grid(spec, integer=False):
-    """A check's grid; fewer than two points would compare nothing."""
-    grid = resolve_grid(spec, integer)
-    if len(grid) < 2:
-        raise ConfigError("a check grid needs at least two points",
-                          field="/grid")
-    return grid
-
-
-def config_family(config):
-    """Model family named by a config's ``family`` block."""
-    return get_family(**config["family"])
-
-
-def config_ensemble(config, seed):
-    """Ensemble described by a config block."""
-    return build_ensemble(config_family(config), config, seed)
-
-
-def config_sweep(config, seed, grid):
-    """Ensemble and sweep along a config's ``axis``, from its ensemble,
-    ``source_index``, ``trials`` and, on the quantity axis, ``rule``;
-    ``grid`` is a spec or a checked grid."""
-    ens = config_ensemble(config, seed)
-    idx, trials = config["source_index"], config["trials"]
-    if config["axis"] == "weight":
-        result = sweep_weight(ens, idx, grid, trials, seed)
-    else:
-        result = sweep_quantity(ens, idx, grid, config["rule"], trials, seed)
-    return ens, result
-
-
-def _check_weight_optimum(config, seed):
-    grid = _check_grid(config["grid"])
-    ens, result = config_sweep({**config, "axis": "weight"}, seed, grid)
-    idx = int(config["source_index"])
+def _check_weight_optimum(ens, idx, grid, trials, seed):
+    result = sweep_weight(ens, idx, grid, trials, seed)
     t_i = float(source_scalars(ens)[idx])
     w_star = single_source_weight(t_i, int(ens.source_budgets[idx]))
     star_idx = int(np.argmin(np.abs(result.grid - w_star)))
@@ -450,10 +328,8 @@ def _check_weight_optimum(config, seed):
     }
 
 
-def _check_quantity_monotone(config, seed):
-    grid = _check_grid(config["grid"], integer=True)
-    ens, result = config_sweep({**config, "axis": "quantity"}, seed, grid)
-    rule = config["rule"]
+def _check_quantity_monotone(ens, idx, grid, rule, trials, seed):
+    result = sweep_quantity(ens, idx, grid, rule, trials, seed)
     diffs = np.diff(result.predicted)
     pred_ok = bool(np.all(diffs < -1e-12))
     means, ses = result.mc_means, result.mc_stderrs
@@ -471,11 +347,7 @@ def _check_quantity_monotone(config, seed):
     }
 
 
-def _check_dimension_scaling(config, seed):
-    dims = [int(v) for v in config["dims"]]
-    t = float(config["t"])
-    n0 = int(config["n_target"])
-    n1 = int(config["n_source"])
+def _check_dimension_scaling(dims, t, n0, n1, trials, seed):
     w_star = single_source_weight(t, n1)
     totals, means, stderrs, constants = [], [], [], []
     for d in dims:
@@ -485,7 +357,7 @@ def _check_dimension_scaling(config, seed):
         th1 = np.full(d, np.sqrt(t))
         ens = TaskEnsemble(family, th0, n0, [th1], np.array([n1]))
         totals.append(predict_kl_single(n0, n1, w_star, t, d).total)
-        est = mc_expected_kl(ens, [w_star], [n1], config["trials"], seed,
+        est = mc_expected_kl(ens, [w_star], [n1], trials, seed,
                              seed_prefix=(d,))
         means.append(est.mean)
         stderrs.append(est.std_error)
@@ -507,17 +379,12 @@ def _check_dimension_scaling(config, seed):
     }
 
 
-def _check_plan_beats_random(config, seed):
-    ens = config_ensemble(config, seed)
-    n_random = int(config["random_plans"])
-    mc_top = int(config["mc_top"])
-    mc_trials = int(config["mc_trials"])
-    weight_high = float(config["weight_high"])
+def _check_plan_beats_random(ens, n_random, mc_top, mc_trials, weight_high,
+                             trials, seed):
     qp = ens.qp()
     plan = optimal_plan(qp, n_target=ens.target_budget)
-    plan_est = mc_expected_kl(ens, plan.weights, plan.quantities,
-                              config["trials"], seed,
-                              seed_prefix=(_PLAN_STREAM,))
+    plan_est = mc_expected_kl(ens, plan.weights, plan.quantities, trials,
+                              seed, seed_prefix=(_PLAN_STREAM,))
 
     rng = derive_rng(seed, _RANDOM_DRAW_STREAM)
     weight_draws = rng.uniform(0.0, weight_high, size=(n_random, ens.k))
@@ -556,14 +423,10 @@ def _check_plan_beats_random(config, seed):
     }
 
 
-def _check_estimator_mean(config, seed):
-    ens = config_ensemble(config, seed)
-    weights = np.asarray(config["weights"], dtype=float)
-    if weights.shape != (ens.k,):
-        raise ConfigError("need one weight per source", field="/weights")
+def _check_estimator_mean(ens, weights, trials, seed):
     estimates = mc_fits(ens.family, ens.target_params, ens.target_budget,
                         zip(ens.source_params, ens.source_budgets, weights),
-                        config["trials"], seed)
+                        trials, seed)
 
     masses = weights * ens.source_budgets
     denom = ens.target_budget + masses.sum()
@@ -585,12 +448,8 @@ def _check_estimator_mean(config, seed):
     }
 
 
-def _check_kl_mse_bridge(config, seed):
-    family = config_family(config)
-    th0 = config_params(family, config["target_params"], "/target_params")
-    n0 = int(config["n_target"])
-    rel_tol = float(config["rel_tol"])
-    fits = mc_fits(family, th0, n0, [], config["trials"], seed)
+def _check_kl_mse_bridge(family, th0, n0, rel_tol, trials, seed):
+    fits = mc_fits(family, th0, n0, [], trials, seed)
     lhs, rhs = mse_kl_bridge(family, th0, fits,
                              mc_divergences(family, th0, fits))
     rel_gap = abs(lhs - rhs) / abs(lhs)
@@ -602,6 +461,9 @@ def _check_kl_mse_bridge(config, seed):
     }
 
 
+# Each check takes its parsed inputs, the trial count and the seed, and
+# returns its pass flag, its ensemble (or target budget and distance
+# constants) and its details, for ``config.verify_claim``'s verdict.
 _CHECKS = {
     "weight-optimum": _check_weight_optimum,
     "quantity-monotone": _check_quantity_monotone,
@@ -610,38 +472,3 @@ _CHECKS = {
     "estimator-mean": _check_estimator_mean,
     "kl-mse-bridge": _check_kl_mse_bridge,
 }
-
-
-def verify_claim(check, config, seed):
-    """Run one named oracle comparison and return a structured verdict.
-
-    Checks: weight-optimum (measured weight curve bottoms out at the
-    closed form), quantity-monotone (more source data never hurts under
-    the re-optimized weight), dimension-scaling (Monte Carlo divergences
-    linear in the dimension at matched distance scale), plan-beats-random
-    (the planned weights beat random ones), estimator-mean (the weighted
-    estimator centers on the mixture), kl-mse-bridge (divergence matches
-    half the Fisher-weighted mean squared error). ``config`` is validated
-    against the check's schema entry, here only; the check's defaults fill
-    what it leaves out. A check returns its pass flag, its ensemble (or
-    target budget and distance constants) and its details; the envelope,
-    with the trial count in the details, is built here.
-    """
-    if check not in _CHECKS:
-        known = ", ".join(sorted(_CHECKS))
-        raise ConfigError(f"unknown check '{check}' (known: {known})",
-                          field="/check")
-    validate_config(check, config)
-    settings = {**DEFAULTS[check], **config}
-    passed, scale, details = _CHECKS[check](settings, seed)
-    if isinstance(scale, TaskEnsemble):
-        scale = scale.target_budget, scale.regime_constants
-    n_target, constants = scale
-    return {
-        "check": check,
-        "seed": int(seed),
-        "verdict": "pass" if passed else "fail",
-        "n_target": int(n_target),
-        "regime_constants": [float(c) for c in constants],
-        "details": {**details, "trials": int(settings["trials"])},
-    }

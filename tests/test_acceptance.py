@@ -12,14 +12,10 @@ import time
 import numpy as np
 
 from transferopt.cli import main as cli_main
+from transferopt.config import build_ensemble, verify_claim
 from transferopt.families import get_family
 from transferopt.fisher import analytic_fisher, projected_gram
-from transferopt.harness import (
-    brute_force_simplex,
-    build_ensemble,
-    source_scalars,
-    verify_claim,
-)
+from transferopt.harness import brute_force_simplex, source_scalars
 from transferopt.kl import mc_expected_kl, predict_kl_single
 from transferopt.planner import (
     QpMatrix,

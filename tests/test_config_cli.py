@@ -17,10 +17,10 @@ import transferopt.harness
 import transferopt.kl
 import transferopt.trainer
 from transferopt.cli import main
-from transferopt.config import COMMANDS, DEFAULTS, load_schema, validate_config
+from transferopt.config import (COMMANDS, DEFAULTS, load_schema, resolve_grid,
+                                validate_config, verify_claim)
 from transferopt.errors import ConfigError
 from transferopt.families import SoftmaxRegression
-from transferopt.harness import verify_claim
 from transferopt.reporting import jsonable, write_csv
 
 from helpers import CONFIGS, GOLDEN, load_json, predicted_single_oracle
@@ -215,6 +215,14 @@ _MALFORMED = {
     "indefinite-fisher-matrix": ("weights", dict(
         load_json(CONFIGS / "weights_golden.json"),
         fisher_matrix=[[1, 2], [2, 1]]), "/fisher_matrix", ["semi-definite"]),
+    "fisher-matrix-diagonal-overflow": ("weights", dict(
+        load_json(CONFIGS / "weights_golden.json"),
+        fisher_matrix=[[1e308, 1.1], [1.1, 3.5]]), "/fisher_matrix",
+        ["overflow"]),
+    "fisher-matrix-antisymmetric-overflow": ("weights", dict(
+        load_json(CONFIGS / "weights_golden.json"),
+        fisher_matrix=[[4.2, 1e308], [-1e308, 3.5]]), "/fisher_matrix",
+        ["overflow"]),
     "weight-sweep-rule": ("sweep", dict(_WEIGHT_SWEEP, rule=0.25), "/",
                           ["rule"]),
 }
@@ -1198,6 +1206,21 @@ def test_a_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("numerical failure: Eigenvalues did not converge")
 
 
+def test_a_library_value_error_is_a_bug_not_a_config_error(tmp_path, capsys,
+                                                           monkeypatch):
+    """``ValueError`` left the config exits: every field is checked before
+    the library runs, so one raised inside it traces back."""
+    def broken(*args, **kwargs):
+        raise ValueError("a library bug")
+
+    monkeypatch.setattr("transferopt.cli.optimal_plan", broken)
+    with pytest.raises(ValueError, match="a library bug"):
+        main(["weights", "--config", str(CONFIGS / "weights_golden.json"),
+               "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_a_grid_with_step_and_count_exits_2(tmp_path, capsys):
     """``count`` was silently ignored beside ``step``."""
     grid = {"start": 0, "stop": 1, "step": 0.5, "count": 5}
@@ -1212,4 +1235,4 @@ def test_a_grid_with_step_and_count_exits_2(tmp_path, capsys):
         assert err.startswith(f"config error at {field}: ")
         assert not (tmp_path / "out" / "report.json").exists()
     with pytest.raises(ConfigError, match="step or count, not both"):
-        transferopt.harness.resolve_grid(grid)
+        resolve_grid(grid)

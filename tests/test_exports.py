@@ -85,14 +85,31 @@ def test_no_module_imports_a_name_it_never_uses(path):
     ("transferopt", "ScaleError"),
     ("transferopt.errors", "ScaleError"),
     ("transferopt.kl", "_divergence"),
+    *(("transferopt.harness", name) for name in (
+        "build_ensemble", "verify_claim", "config_family", "config_params",
+        "config_ensemble", "config_sweep", "resolve_grid", "_check_grid",
+        "_check_source_index")),
 ])
 def test_removed_names_stay_removed(owner, name):
     """The block classes gave the weighted MLE a second data form beside
     the trainer's ``(target, sources, weights)``; the count rule now lives
     in ``families.whole_count``. ``brute_force_simplex`` refuses K > 4
     with ValueError, as it refuses any other bad input, and ``mc_fits``
-    is the one gate of a Monte Carlo estimate."""
+    is the one gate of a Monte Carlo estimate. The config readers moved
+    from ``harness`` to ``config``."""
     assert not hasattr(importlib.import_module(owner), name)
+
+
+def test_harness_binds_no_config_name():
+    """``config`` turns configs into library objects; ``harness`` reads
+    none and raises no ConfigError."""
+    harness = importlib.import_module("transferopt.harness")
+    config = importlib.import_module("transferopt.config")
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    imported = {name for name, _ in _imported_names(tree)}
+    own = {n for n in vars(config) if not n.startswith("__")} - imported
+    assert own and not own & set(vars(harness))
+    assert "ConfigError" not in vars(harness)
 
 
 def test_softmax_has_no_second_score_projection():

@@ -8,7 +8,7 @@ import pytest
 from transferopt import (ConfigError, ParameterError, SupportError,
                          TrainConfig, families, get_family)
 from transferopt.fisher import projected_gram
-from transferopt.harness import build_ensemble, resolve_grid
+from transferopt.config import build_ensemble, resolve_grid
 from transferopt.kl import mc_expected_kl, mc_fits
 from transferopt.planner import QpMatrix
 from transferopt.rng import derive_rng

@@ -17,7 +17,8 @@ from transferopt import (
     verify_claim,
 )
 from transferopt import harness
-from transferopt.harness import TaskEnsemble, build_ensemble, resolve_grid, source_scalars
+from transferopt.config import build_ensemble, config_ensemble, config_sweep, resolve_grid
+from transferopt.harness import TaskEnsemble, source_scalars
 from transferopt.kl import predict_kl_single
 from transferopt.planner import qp_from_parameters
 from transferopt.rng import derive_rng
@@ -233,23 +234,34 @@ def test_a_sweep_gives_every_other_source_weight_zero(cat3):
         assert got == pytest.approx(alone(1000, w), rel=1e-12)
 
 
-def test_sweep_argument_errors(cat3):
-    ens = build_ensemble(cat3, {
-        "target_params": [0.3, 0.4], "n_target": 200,
-        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0}],
-    }, 3)
-    with pytest.raises(ConfigError) as exc:
-        sweep_weight(ens, 5, [0.0, 1.0], 10, 3)
-    assert exc.value.field == "/source_index"
-    with pytest.raises(ConfigError) as exc:
-        sweep_weight(ens, 0, [-0.5, 1.0], 10, 3)
-    assert exc.value.field == "/grid"
-    with pytest.raises(ConfigError) as exc:
-        sweep_quantity(ens, 0, [0, 500], 1.0, 10, 3)  # past the budget
-    assert exc.value.field == "/grid"
-    with pytest.raises(ConfigError) as exc:
-        sweep_quantity(ens, 0, [0, 300], -2.0, 10, 3)
-    assert exc.value.field == "/rule"
+_SWEEP = {
+    "family": {"name": "categorical", "params": {"num_outcomes": 3}},
+    "target_params": [0.3, 0.4], "n_target": 200,
+    "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0}],
+    "source_index": 0, "trials": 10, "rule": 1.0,
+}
+
+
+def test_sweep_argument_errors(monkeypatch):
+    """A bad sweep input raises ConfigError at its field from the sweep
+    config, and ValueError from the library sweep; neither runs a trial."""
+    monkeypatch.setattr("transferopt.harness.mc_expected_kl", None)
+    ens = config_ensemble(_SWEEP, 3)
+    for axis, index, grid, rule, field in [
+            ("weight", 5, [0.0, 1.0], 1.0, "/source_index"),
+            ("weight", 0, [-0.5, 1.0], 1.0, "/grid"),
+            ("quantity", 0, [0, 500], 1.0, "/grid"),  # past the budget
+            ("quantity", 0, [0, 300], -2.0, "/rule")]:
+        config = dict(_SWEEP, axis=axis, source_index=index, grid=grid,
+                      rule=rule)
+        with pytest.raises(ConfigError) as exc:
+            config_sweep(config, 3)
+        assert exc.value.field == field
+        with pytest.raises(ValueError):
+            if axis == "weight":
+                sweep_weight(ens, index, grid, 10, 3)
+            else:
+                sweep_quantity(ens, index, grid, rule, 10, 3)
 
 
 def test_an_ensemble_plans_through_the_parameter_qp(cat3):
@@ -266,18 +278,19 @@ def test_an_ensemble_plans_through_the_parameter_qp(cat3):
     assert got.d == want.d == cat3.dim
 
 
-def test_a_fractional_source_index_is_a_config_error(cat3, monkeypatch):
+def test_a_fractional_source_index_is_a_config_error(monkeypatch):
     """The index was cast with ``int``, so 0.5 swept source 0."""
-    ens = build_ensemble(cat3, {
-        "target_params": [0.3, 0.4], "n_target": 200,
-        "sources": [{"c": 1.0, "budget": 300, "direction_seed": 0}],
-    }, 3)
     monkeypatch.setattr("transferopt.harness.mc_expected_kl", None)
+    ens = config_ensemble(_SWEEP, 3)
+    message = "source index must be a whole count"
     for index in (0.5, math.inf):
-        with pytest.raises(ConfigError, match="source index must be a whole "
-                                              "count") as exc:
-            sweep_weight(ens, index, [0.0, 1.0], 10, 3)
+        config = dict(_SWEEP, axis="weight", source_index=index,
+                      grid=[0.0, 1.0])
+        with pytest.raises(ConfigError, match=message) as exc:
+            config_sweep(config, 3)
         assert exc.value.field == "/source_index"
+        with pytest.raises(ValueError, match=message):
+            sweep_weight(ens, index, [0.0, 1.0], 10, 3)
 
 
 def test_brute_force_small_cases():
@@ -419,7 +432,7 @@ def test_random_plan_predictions_match_one_plan_at_a_time():
         "weight_high": 2.0,
     }
     report = verify_claim("plan-beats-random", cfg, 31)
-    ens = harness.config_ensemble(cfg, 31)
+    ens = config_ensemble(cfg, 31)
     gram = ens.qp().gram
     draws = derive_rng(31, harness._RANDOM_DRAW_STREAM).uniform(
         0.0, 2.0, size=(300, 3))

@@ -20,10 +20,11 @@ from transferopt import (
 )
 import transferopt.kl
 import transferopt.weighted_mle
+from transferopt.config import build_ensemble, verify_claim
 from transferopt.errors import (ConvergenceError, ParameterError,
                                 UnsupportedFamilyError)
 from transferopt.families import Categorical
-from transferopt.harness import TaskEnsemble, build_ensemble, verify_claim
+from transferopt.harness import TaskEnsemble
 from transferopt.kl import KlPrediction, mc_fits
 from transferopt.planner import composed_quantity_objective
 
