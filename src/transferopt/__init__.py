@@ -7,7 +7,6 @@ from .errors import (  # noqa: F401
     ConfigError,
     ConvergenceError,
     ParameterError,
-    RegimeError,
     SupportError,
     TransferOptError,
     UnsupportedFamilyError,

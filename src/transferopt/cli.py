@@ -8,7 +8,9 @@ files. ``--threads`` is accepted for compatibility and has no effect.
 Wall-clock timing goes to stderr only.
 
 Exit codes: 0 success, 2 config error (message names the field), 3
-numerical failure, 4 verification verdict failure.
+numerical failure, 4 verification verdict failure. Any other exception,
+such as a ValueError or ParameterError from inside the library, is a bug
+and traces back.
 """
 
 import argparse
@@ -23,23 +25,17 @@ from . import __version__
 from .config import (COMMANDS, DEFAULTS, config_ensemble, config_qp,
                      config_sweep, config_train, config_weights, load_config,
                      validate_config, verify_claim)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    ParameterError,
-    RegimeError,
-    SupportError,
-    UnsupportedFamilyError,
-)
+from .errors import (ConfigError, ConvergenceError, SupportError,
+                     UnsupportedFamilyError)
 from .kl import mc_expected_kl
 from .planner import optimal_plan
 from .reporting import write_csv, write_json
 from .rng import derive_rng
 from .trainer import pretrain_params, train_multi_source, train_multi_task
 
-_CONFIG_EXIT = (ConfigError, ParameterError, UnsupportedFamilyError)
-_NUMERIC_EXIT = (ConvergenceError, RegimeError, SupportError,
-                 FloatingPointError, MemoryError, np.linalg.LinAlgError)
+_CONFIG_EXIT = (ConfigError, UnsupportedFamilyError)
+_NUMERIC_EXIT = (ConvergenceError, SupportError, FloatingPointError,
+                 MemoryError, np.linalg.LinAlgError)
 
 # data-generation stream roles for the train command: dataset k of a role
 # draws from (seed, role, k), so no two datasets share a stream

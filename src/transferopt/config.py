@@ -5,7 +5,8 @@ nested config. A config is validated before any computation runs (unknown
 keys are rejected), defaults fill what it leaves out, and it is turned into
 library objects. Only this module raises ConfigError, always with a
 slash-separated field path; a field that a library check decides goes
-through that check, which gets the field attached.
+through that check, which gets the field attached: a parameter vector,
+a source's placement at its ``c``, the weights, the fisher matrix.
 """
 
 import functools
@@ -24,7 +25,9 @@ from .families import get_family, whole_count
 from .harness import (TaskEnsemble, check_quantity_grid, check_source_index,
                       sweep_quantity, sweep_weight)
 from .planner import build_qp_matrix, symmetric_psd
+from .rng import derive_rng
 from .trainer import TrainConfig
+from .weighted_mle import source_weights
 
 __all__ = [
     "COMMANDS", "DEFAULTS", "load_schema", "load_config", "validate_config",
@@ -136,7 +139,8 @@ def build_ensemble(family, config, master_seed):
     Each source entry carries a ``budget`` and either explicit ``params``
     or a (``c``, ``direction_seed``) pair, placing it at distance
     c / sqrt(N0) in a seeded direction. An invalid explicit vector raises
-    ConfigError at ``/target_params`` or ``/sources/i/params``.
+    ConfigError at ``/target_params`` or ``/sources/i/params``, and a ``c``
+    that cannot be placed in the family's region at ``/sources/i/c``.
     """
     th0 = config_params(family, config["target_params"], "/target_params")
     n0 = whole_count(config["n_target"], "n_target", ParameterError)
@@ -145,9 +149,9 @@ def build_ensemble(family, config, master_seed):
         if "params" in src:
             p = config_params(family, src["params"], f"/sources/{i}/params")
         else:
-            p = harness._draw_source_params(
-                family, th0, float(src["c"]), n0, src.get("direction_seed", i),
-                master_seed)
+            rng = derive_rng(master_seed, src.get("direction_seed", i))
+            p = _at(f"/sources/{i}/c", harness._draw_source_params, family,
+                    th0, float(src["c"]), n0, rng)
         params.append(p)
     return TaskEnsemble(family, th0, n0, params,
                         [src["budget"] for src in config["sources"]])
@@ -160,10 +164,7 @@ def config_ensemble(config, seed):
 
 def config_weights(values, k):
     """A config's ``weights``, one per source of ``k``."""
-    weights = np.asarray(values, dtype=float)
-    if weights.shape != (k,):
-        raise ConfigError("need one weight per source", field="/weights")
-    return weights
+    return _at("/weights", source_weights, values, k)
 
 
 def config_qp(config):

@@ -1,14 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-__all__ = [
-    "TransferOptError",
-    "ParameterError",
-    "SupportError",
-    "UnsupportedFamilyError",
-    "ConvergenceError",
-    "RegimeError",
-    "ConfigError",
-]
+The CLI exits 2 on ConfigError, which only ``config`` raises and which
+names its field, and on UnsupportedFamilyError; it exits 3 on
+ConvergenceError and SupportError. ``config`` turns every ParameterError
+a config can cause into a ConfigError, so one that reaches the CLI is a
+library bug and traces back.
+"""
+
+__all__ = ["TransferOptError", "ParameterError", "SupportError",
+           "UnsupportedFamilyError", "ConvergenceError", "ConfigError"]
 
 
 class TransferOptError(Exception):
@@ -46,11 +46,6 @@ class ConvergenceError(TransferOptError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
-
-
-class RegimeError(TransferOptError):
-    """A requested source displacement cannot be placed inside the valid
-    parameter region (retries exhausted)."""
 
 
 class ConfigError(TransferOptError):

@@ -6,15 +6,15 @@ expected divergence under a plan, and hosts the brute-force machinery
 (weight grids, exhaustive lattice simplex search, random-plan comparisons)
 that every verification verdict rests on. Everything here is a pure
 function of its inputs and master seed. Nothing here reads a config
-(``config`` does); the errors raised here are ValueError, ParameterError
-and RegimeError.
+(``config`` does); the errors raised here are ValueError and
+ParameterError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RegimeError
+from .errors import ParameterError
 from .families import get_family, whole_count
 from .kl import (mc_divergences, mc_expected_kl, mc_fits, mse_kl_bridge,
                  predict_kl_multi, predict_kl_single)
@@ -127,11 +127,12 @@ class SweepResult:
         }
 
 
-def _draw_source_params(family, target_params, c, n_target, direction_seed,
-                        master_seed):
+def _draw_source_params(family, target_params, c, n_target, rng):
+    """Source parameters at distance c / sqrt(n_target) from the target in
+    a direction drawn from ``rng``; a ``c`` that is negative, or that no
+    draw places inside the family's region, raises ValueError."""
     if c < 0:
-        raise ParameterError("distance constants must be nonnegative")
-    rng = derive_rng(master_seed, direction_seed)
+        raise ValueError("distance constants must be nonnegative")
     radius = c / np.sqrt(float(n_target))
     for _ in range(_MAX_DIRECTION_DRAWS):
         u = rng.standard_normal(family.dim)
@@ -141,7 +142,7 @@ def _draw_source_params(family, target_params, c, n_target, direction_seed,
                 return family.validate(target_params + radius * (u / norm))
         except ParameterError:
             pass
-    raise RegimeError(
+    raise ValueError(
         f"no valid source parameters at distance {radius} from the target "
         f"after {_MAX_DIRECTION_DRAWS} draws; the distance constant "
         f"{c} is too large for this family's parameter region"

@@ -189,20 +189,26 @@ def _step(family, cfg, theta, target_data, source_data, weights, holdout,
           trace, epoch, logged_weights, task=None):
     """One gradient step, recorded in ``trace`` with ``logged_weights``;
     returns the new iterate and the step's norm. An iterate off the
-    parameter space raises ConvergenceError; overflow reaching it is silent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, grad = weighted_loss_gradient(family, theta, target_data,
-                                            source_data, weights, cfg.ridge)
-        grad_norm = float(np.linalg.norm(grad))
-        new_theta = theta - cfg.learning_rate * grad
-        step_norm = float(np.linalg.norm(new_theta - theta))
+    parameter space raises ConvergenceError, and so does a FloatingPointError
+    from the loss, gradient or holdout metrics; overflow reaching the
+    iterate is silent."""
     try:
-        family.validate(new_theta)
-    except ParameterError as err:
-        raise ConvergenceError(
-            f"step left the parameter space{_at(epoch, task)}: {err}",
-            last_iterate=theta, residual=grad_norm) from err
-    nll, acc = holdout_metrics(family, new_theta, holdout)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = weighted_loss_gradient(
+                family, theta, target_data, source_data, weights, cfg.ridge)
+            grad_norm = float(np.linalg.norm(grad))
+            new_theta = theta - cfg.learning_rate * grad
+            step_norm = float(np.linalg.norm(new_theta - theta))
+        try:
+            family.validate(new_theta)
+        except ParameterError as err:
+            raise ConvergenceError(
+                f"step left the parameter space{_at(epoch, task)}: {err}",
+                last_iterate=theta, residual=grad_norm) from err
+        nll, acc = holdout_metrics(family, new_theta, holdout)
+    except FloatingPointError as err:
+        raise ConvergenceError(f"step failed{_at(epoch, task)}: {err}",
+                               last_iterate=theta) from err
     trace.add(epoch, loss, logged_weights, grad_norm, nll, acc)
     return new_theta, step_norm
 

@@ -19,7 +19,7 @@ import transferopt.trainer
 from transferopt.cli import main
 from transferopt.config import (COMMANDS, DEFAULTS, load_schema, resolve_grid,
                                 validate_config, verify_claim)
-from transferopt.errors import ConfigError
+from transferopt.errors import ConfigError, ParameterError
 from transferopt.families import SoftmaxRegression
 from transferopt.reporting import jsonable, write_csv
 
@@ -223,6 +223,10 @@ _MALFORMED = {
         load_json(CONFIGS / "weights_golden.json"),
         fisher_matrix=[[4.2, 1e308], [-1e308, 3.5]]), "/fisher_matrix",
         ["overflow"]),
+    "check-unplaceable-source": ("verify", _check(
+        "weight-optimum", dict(_GRID_CHECK, sources=[
+            {"c": 100.0, "budget": 1500, "direction_seed": 0}])),
+        "/config/sources/0/c", ["no valid source parameters"]),
     "weight-sweep-rule": ("sweep", dict(_WEIGHT_SWEEP, rule=0.25), "/",
                           ["rule"]),
 }
@@ -499,15 +503,17 @@ def test_seed_and_threads_option_bounds(tmp_path, capsys):
 # ------------------------------------------------------------- exit 3 / 4
 
 
-def test_unplaceable_source_exits_3(tmp_path, capsys):
-    # c=100 cannot be realized inside the categorical parameter region
+def test_unplaceable_source_exits_2_at_its_c(tmp_path, capsys):
+    """c=100 cannot be realized inside the categorical parameter region;
+    this exited 3 as a numerical failure."""
     bad = json.loads(json.dumps(_ENSEMBLE_CFG))
     bad["sources"][0]["c"] = 100.0
     out = tmp_path / "run"
     rc, _, err = run(["weights", "--config", write_cfg(tmp_path, bad),
                       "--out", str(out)], capsys)
-    assert rc == 3
-    assert err.startswith("numerical failure")
+    assert rc == 2
+    assert err.startswith("config error at /sources/0/c: no valid source "
+                          "parameters")
     assert not (out / "report.json").exists()
 
 
@@ -1104,6 +1110,20 @@ def test_a_diverging_step_exits_3_naming_the_epoch(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_a_step_whose_logarithm_fails_exits_3_naming_the_epoch(tmp_path,
+                                                              capsys):
+    """A heavy ridge drives a holdout probability to zero: the step's log
+    raised a bare ``divide by zero`` with no epoch in the message."""
+    config = load_json(CONFIGS / "train_two_source.json")
+    config["train"].update(epochs=5, ridge=1.5)
+    rc, _, err = run(["train", "--config", write_cfg(tmp_path, config),
+                      "--out", str(tmp_path / "out")], capsys)
+    assert rc == 3
+    assert re.match(r"numerical failure: step failed at epoch \d+: "
+                    r"divide by zero encountered in log\n", err)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_an_overflowing_gram_exits_3_naming_the_epoch(tmp_path, capsys):
     """The gram overflowed while the iterate was still finite: a
     RuntimeWarning, then exit 2 as ``config error: gram must be finite``."""
@@ -1215,6 +1235,22 @@ def test_a_library_value_error_is_a_bug_not_a_config_error(tmp_path, capsys,
 
     monkeypatch.setattr("transferopt.cli.optimal_plan", broken)
     with pytest.raises(ValueError, match="a library bug"):
+        main(["weights", "--config", str(CONFIGS / "weights_golden.json"),
+               "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_library_parameter_error_is_a_bug_not_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    """``ParameterError`` left the config exits too: ``config`` attaches a
+    field to every one a config can cause, so one that escapes traces
+    back."""
+    def broken(*args, **kwargs):
+        raise ParameterError("a library bug")
+
+    monkeypatch.setattr("transferopt.cli.optimal_plan", broken)
+    with pytest.raises(ParameterError, match="a library bug"):
         main(["weights", "--config", str(CONFIGS / "weights_golden.json"),
                "--out", str(tmp_path)])
     capsys.readouterr()

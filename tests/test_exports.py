@@ -84,6 +84,8 @@ def test_no_module_imports_a_name_it_never_uses(path):
     ("transferopt.harness", "_ensemble_gram"),
     ("transferopt", "ScaleError"),
     ("transferopt.errors", "ScaleError"),
+    ("transferopt", "RegimeError"),
+    ("transferopt.errors", "RegimeError"),
     ("transferopt.kl", "_divergence"),
     *(("transferopt.harness", name) for name in (
         "build_ensemble", "verify_claim", "config_family", "config_params",
@@ -96,7 +98,8 @@ def test_removed_names_stay_removed(owner, name):
     in ``families.whole_count``. ``brute_force_simplex`` refuses K > 4
     with ValueError, as it refuses any other bad input, and ``mc_fits``
     is the one gate of a Monte Carlo estimate. The config readers moved
-    from ``harness`` to ``config``."""
+    from ``harness`` to ``config``. An unplaceable source is a
+    ConfigError at its ``c``, so ``RegimeError`` has no raiser left."""
     assert not hasattr(importlib.import_module(owner), name)
 
 

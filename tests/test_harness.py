@@ -9,7 +9,6 @@ import pytest
 from transferopt import (
     ConfigError,
     ParameterError,
-    RegimeError,
     brute_force_simplex,
     solve_simplex_qp,
     sweep_quantity,
@@ -69,11 +68,12 @@ def test_ensemble_rejects_inconsistent_record(cat3):
         TaskEnsemble(cat3, th0, 0, [th0.copy()], np.array([100]))
     with pytest.raises(ParameterError, match="at least one source"):
         TaskEnsemble(cat3, th0, 100, [], np.array([], dtype=int))
-    with pytest.raises(ParameterError, match="nonnegative"):
+    with pytest.raises(ConfigError, match="nonnegative") as info:
         build_ensemble(cat3, {
             "target_params": [0.3, 0.4], "n_target": 100,
             "sources": [{"c": -1.0, "budget": 50, "direction_seed": 0}],
         }, 5)
+    assert info.value.field == "/sources/0/c"
 
 
 @pytest.mark.parametrize("target, budgets, message", [
@@ -103,13 +103,14 @@ def test_ensemble_stores_whole_float_budgets_as_counts(cat3):
     assert ens.source_budgets.tolist() == [1200]
 
 
-def test_unreachable_distance_raises_regime_error(cat3):
+def test_unreachable_distance_is_a_config_error_at_its_c(cat3):
     # radius 10 cannot stay inside the simplex
-    with pytest.raises(RegimeError):
+    with pytest.raises(ConfigError, match="no valid source parameters") as info:
         build_ensemble(cat3, {
             "target_params": [0.3, 0.4], "n_target": 100,
             "sources": [{"c": 100.0, "budget": 50, "direction_seed": 0}],
         }, 5)
+    assert info.value.field == "/sources/0/c"
 
 
 def test_build_ensemble_accepts_explicit_params(cat3):

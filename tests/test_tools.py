@@ -45,4 +45,9 @@ def test_hostile_inputs_keep_the_exit_code_contract():
          "--config", *picked.values()],
         capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert re.fullmatch(r"(\d+) of \1 runs kept the contract\n", done.stdout)
+    match = re.fullmatch(r"runs per exit code: 0: (\d+), 2: (\d+), "
+                         r"3: (\d+), 4: (\d+)\n(\d+) of \5 runs kept the "
+                         r"contract\n", done.stdout)
+    assert match, done.stdout
+    *per_code, runs = map(int, match.groups())
+    assert sum(per_code) == runs

@@ -7,7 +7,6 @@ from transferopt import (
     ConfigError,
     ConvergenceError,
     ParameterError,
-    RegimeError,
     SupportError,
     TrainConfig,
     fit_weighted_mle,
@@ -210,10 +209,10 @@ def test_plan_failure_carries_the_epoch(monkeypatch):
     import transferopt.trainer as trainer_mod
 
     def boom(*args, **kwargs):
-        raise RegimeError("no usable information")
+        raise SupportError("no usable information")
 
     monkeypatch.setattr(trainer_mod, "projected_gram", boom)
-    with pytest.raises(RegimeError, match="plan update failed at epoch 1"):
+    with pytest.raises(SupportError, match="plan update failed at epoch 1"):
         train_multi_source(FAM, target, [relevant], pre, cfg)
 
 
@@ -297,10 +296,10 @@ def test_multi_task_plan_failure_names_task_and_epoch(monkeypatch):
     import transferopt.trainer as trainer_mod
 
     def boom(*args, **kwargs):
-        raise RegimeError("no usable information")
+        raise SupportError("no usable information")
 
     monkeypatch.setattr(trainer_mod, "projected_gram", boom)
-    with pytest.raises(RegimeError, match="task 0 at epoch 1"):
+    with pytest.raises(SupportError, match="task 0 at epoch 1"):
         train_multi_task(FAM, [d0, d1], cfg)
 
 

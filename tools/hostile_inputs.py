@@ -15,9 +15,10 @@ recorded.
 
 A run keeps the contract when it exits 0, 3 or 4, or exits 2 with a
 message that names its field (`` at /``), and warns nothing on the way.
-The tool prints each run that breaks it, then a count per category, and
-exits 1 if any run broke it, else 0. It uses the standard library and the
-code of the checkout it sits in.
+The tool prints each run that breaks it, a count per category, then a
+count of runs per exit code (0, 2, 3, 4), and exits 1 if any run broke
+it, else 0. It uses the standard library and the code of the checkout it
+sits in.
 """
 
 import argparse
@@ -95,8 +96,8 @@ def mutants(config):
 
 
 def run(command, config, tmp):
-    """One in-process CLI run: ``(category, detail)`` if it breaks the
-    contract, else None."""
+    """One in-process CLI run: its exit code (None if it raised), and
+    ``(category, detail)`` if it breaks the contract, else None."""
     path = tmp / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     stderr = io.StringIO()
@@ -109,22 +110,22 @@ def run(command, config, tmp):
             code = transferopt.cli.main([command, "--config", str(path),
                                          "--out", str(tmp / "out")])
     except _Timeout:
-        return "timeout", f"did not finish in {ALARM_S} s"
+        return None, ("timeout", f"did not finish in {ALARM_S} s")
     except Exception as err:
         where = traceback.extract_tb(err.__traceback__)[-1]
-        return "traceback", (f"{type(err).__name__}: {err} "
-                             f"({Path(where.filename).name}:{where.lineno})")
+        return None, ("traceback", f"{type(err).__name__}: {err} "
+                      f"({Path(where.filename).name}:{where.lineno})")
     finally:
         signal.alarm(0)
     message = (stderr.getvalue().splitlines() or [""])[0]
     runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if runtime:
-        return "warning", f"exit {code} after {runtime[0].message}"
+        return code, ("warning", f"exit {code} after {runtime[0].message}")
     if code not in (0, 2, 3, 4):
-        return "exit code", f"exit {code}: {message}"
+        return code, ("exit code", f"exit {code}: {message}")
     if code == 2 and " at /" not in message:
-        return "unnamed config error", message
-    return None
+        return code, ("unnamed config error", message)
+    return code, None
 
 
 def main(argv=None):
@@ -139,20 +140,23 @@ def main(argv=None):
             parser.error(f"no bundled config {', '.join(sorted(unknown))}")
         paths = [p for p in paths if p.name in args.config]
     signal.signal(signal.SIGALRM, _alarm)
-    breaks, runs = Counter(), 0
+    breaks, codes = Counter(), Counter()
     with tempfile.TemporaryDirectory() as tmp:
         for path in paths:
             command = path.stem.split("_")[0]  # weights_golden -> weights
             config = _capped(json.loads(path.read_text(encoding="utf-8")))
             for label, mutant in mutants(config):
-                runs += 1
-                broken = run(command, mutant, Path(tmp))
+                code, broken = run(command, mutant, Path(tmp))
+                codes[code] += 1
                 if broken:
                     category, detail = broken
                     breaks[category] += 1
                     print(f"{path.name} {label}: {category}: {detail}")
     for category, count in sorted(breaks.items()):
         print(f"{category}: {count}")
+    print("runs per exit code: "
+          + ", ".join(f"{code}: {codes[code]}" for code in (0, 2, 3, 4)))
+    runs = sum(codes.values())
     print(f"{runs - sum(breaks.values())} of {runs} runs kept the contract")
     return 1 if breaks else 0
 
